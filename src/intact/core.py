@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import EmptyView, NonFiniteInput, NonPositiveScale, ShapeMismatch
 
-STOP_REASONS = ("objective_tol", "iterate_tol", "max_iter")
-
-
 def freeze_array(a) -> np.ndarray:
     """Copy `a` into a read-only float64 C-order array."""
     out = np.array(a, dtype=np.float64, order="C", copy=True)
@@ -224,7 +221,9 @@ class FitHistory:
     `objective_trace` holds ("x-update" | "W-update", value) pairs for
     every half step of the alternation; descent theory guarantees the
     values are non-increasing up to round-off, which `monotone_within`
-    audits.
+    audits. `stop_reason` is "objective_tol" when an outer iteration
+    changed the objective by at most tol_obj (relative), and "max_iter"
+    when max_outer iterations ran out first.
     """
 
     objective_trace: tuple

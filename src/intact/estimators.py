@@ -3,6 +3,10 @@
 The Cauchy loss and its influence function drive the reweighted-residual
 solvers; the L2 and smoothed-L1 baselines exist for robustness comparisons.
 All functions accept scalars or arrays and broadcast elementwise.
+
+`rho_sq` and `weight_sq` are the one definition of the loss and the IRR
+weight of a squared residual norm that every objective and solver uses;
+they skip argument checks because they sit on the fitter's hot path.
 """
 
 from __future__ import annotations
@@ -25,11 +29,27 @@ def _maybe_scalar(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
+def rho_sq(s, c: float, loss: str = "cauchy"):
+    """Loss of squared residual norms s: log(1 + s/c^2) for the Cauchy
+    loss, s itself for the l2 baseline."""
+    if loss == "l2":
+        return s
+    return np.log1p(s / (c * c))
+
+
+def weight_sq(s, c: float, loss: str = "cauchy"):
+    """IRR weight of squared residual norms s, the derivative of rho_sq in
+    s: 1/(c^2 + s) for the Cauchy loss, 1 for l2."""
+    if loss == "l2":
+        return np.ones_like(s)
+    return 1.0 / (c * c + s)
+
+
 def cauchy_rho(t, c: float = 1.0):
     """Cauchy loss log(1 + (t/c)^2): symmetric, zero at t=0, sublinear tails."""
     c = _check_scale(c)
     t = np.asarray(t, dtype=np.float64)
-    return _maybe_scalar(np.log1p((t / c) ** 2))
+    return _maybe_scalar(rho_sq(t * t, c))
 
 
 def cauchy_psi(t, c: float = 1.0):
@@ -49,7 +69,7 @@ def residual_weight(r_sq, c: float = 1.0):
     r_sq = np.asarray(r_sq, dtype=np.float64)
     if np.any(r_sq < 0):
         raise NegativeResidual("squared residual norms must be >= 0")
-    return _maybe_scalar(1.0 / (c * c + r_sq))
+    return _maybe_scalar(weight_sq(r_sq, c))
 
 
 @dataclass(frozen=True)

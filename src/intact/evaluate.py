@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hyperparams, IntactModel, MultiViewDataset, as_matrix, validate_dataset
+from .core import Hyperparams, IntactModel, as_matrix, validate_dataset
 from .errors import EmptyTrainingSet, RankDeficient, ShapeMismatch
-from .optimizer import fit, objective_full
+from .optimizer import _model_residual_sq, data_term, fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,15 +28,10 @@ class AlignmentScore:
 
 
 def reconstruction_error(dataset, model: IntactModel, X) -> float:
-    """Mean Cauchy loss over all (view, example) pairs; the training
-    objective with its regularizers stripped."""
-    views = dataset.views if isinstance(dataset, MultiViewDataset) else list(dataset)
+    """Mean Cauchy loss over all (view, example) pairs: the data term of
+    the training objective."""
     X = as_matrix(X)
-    hp = model.hyperparams
-    reg = hp.C1 * sum(float(np.sum(Wv * Wv)) for Wv in model.W) + hp.C2 * float(
-        np.sum(X * X)
-    )
-    return objective_full(views, model, X) - reg
+    return data_term(_model_residual_sq(dataset, model, X), model.hyperparams.c)
 
 
 def align_to_truth(X_est, X_true) -> AlignmentScore:

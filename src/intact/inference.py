@@ -7,13 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hyperparams, IntactModel
-from .errors import ShapeMismatch, ZeroRegularizer
-from .kernel import kernel_embed, kernel_embed_many
+from .errors import ZeroRegularizer
+from .estimators import rho_sq
+from .kernel import kernel_embed_many
 from .optimizer import (
-    _check_views_against_model,
-    _example_vectors,
-    _view_stacks,
+    _single_example_stacks,
+    _example_stacks,
     objective_x,
+    residual_sq_from_stacks,
     solve_x,
     sweep_latents,
 )
@@ -35,12 +36,11 @@ class StabilityReport:
 
 
 def embed_example(z_new, model: IntactModel, hp: Hyperparams = None, x0=None) -> np.ndarray:
-    """Latent coordinate of a new multi-view example (linear model).
+    """Latent coordinate of a new multi-view example.
 
     Minimizes the per-example objective with the trained maps via the
     reweighted solver, starting from zero unless x0 is given.
     """
-    _check_views_against_model(z_new, model)
     hp = hp or model.hyperparams
     if x0 is None:
         x0 = np.zeros(hp.d)
@@ -55,20 +55,8 @@ def embed_examples(view_rows, model: IntactModel, hp: Hyperparams = None, thread
     hp = hp or model.hyperparams
     if model.mode == "kernel":
         return kernel_embed_many(view_rows, model.kernel_part, hp, threads)
-    if len(view_rows) != len(model.W):
-        raise ShapeMismatch(
-            f"got {len(view_rows)} views for a model with {len(model.W)}"
-        )
-    rows = []
-    for v, (Z, Wv) in enumerate(zip(view_rows, model.W)):
-        Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-        if Z.shape[1] != Wv.shape[0]:
-            raise ShapeMismatch(
-                f"view {v} has {Z.shape[1]} columns, model expects {Wv.shape[0]}"
-            )
-        rows.append(Z)
-    G, P, znorm = _view_stacks(rows, list(model.W))
-    X0 = np.zeros((rows[0].shape[0], hp.d))
+    G, P, znorm = _example_stacks(view_rows, model)
+    X0 = np.zeros((znorm.shape[1], hp.d))
     X, _, _ = sweep_latents(
         G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, hp.max_inner, "cauchy", threads
     )
@@ -77,14 +65,9 @@ def embed_examples(view_rows, model: IntactModel, hp: Hyperparams = None, thread
 
 def view_losses(z_views, model: IntactModel, x) -> np.ndarray:
     """Per-view Cauchy losses log(1 + ||z^v - W_v x||^2 / c^2)."""
-    zs = _example_vectors(z_views, model)
-    c = model.hyperparams.c
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    out = np.empty(len(zs))
-    for v, (z, Wv) in enumerate(zip(zs, model.W)):
-        r = z - Wv @ x
-        out[v] = np.log1p((r @ r) / (c * c))
-    return out
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    s = residual_sq_from_stacks(*_single_example_stacks(z_views, model), x)[:, 0]
+    return rho_sq(s, model.hyperparams.c)
 
 
 def map_spectral_norms(model: IntactModel) -> np.ndarray:
@@ -167,56 +150,30 @@ def stability_probe(
     hp = hp or model.hyperparams
     if hp.C2 <= 0:
         raise ZeroRegularizer("stability probes need C2 > 0")
-    if model.mode == "kernel":
-        zs = [np.asarray(z, dtype=np.float64).reshape(-1) for z in z_views]
-        if not 0 <= view_index < len(zs):
-            raise IndexError(f"view index {view_index} out of range")
-        embed_one = lambda z, x0: kernel_embed(z, model.kernel_part, hp)
-        losses = lambda z, x: _kernel_view_losses(z, model, x)
-    else:
-        zs = _example_vectors(z_views, model)
-        if not 0 <= view_index < len(zs):
-            raise IndexError(f"view index {view_index} out of range")
-        embed_one = lambda z, x0: solve_x(z, model, x0, hp).solution
-        losses = lambda z, x: view_losses(z, model, x)
+    zs = [np.asarray(z, dtype=np.float64).reshape(-1) for z in z_views]
+    if not 0 <= view_index < len(zs):
+        raise IndexError(f"view index {view_index} out of range")
     if not 0 <= coord_index < zs[view_index].shape[0]:
         raise IndexError(f"coordinate index {coord_index} out of range")
 
-    x = embed_one(zs, np.zeros(hp.d))
+    x = solve_x(zs, model, np.zeros(hp.d), hp).solution
     z_hat = [z.copy() for z in zs]
     z_hat[view_index][coord_index] += tau
     # tau = 0 poses the identical problem; re-solving would only add noise
-    x_hat = x if tau == 0.0 else embed_one(z_hat, x)
+    x_hat = x if tau == 0.0 else solve_x(z_hat, model, x, hp).solution
 
-    measured = float(np.sum(np.abs(losses(zs, x) - losses(z_hat, x_hat))))
+    losses = view_losses(zs, model, x) - view_losses(z_hat, model, x_hat)
+    measured = float(np.sum(np.abs(losses)))
     bound = stability_bound(tau, model, hp)
-    holds = measured <= bound + 1e-12
-    if model.mode == "kernel":
-        convex = True
-    else:
-        radius = max(float(np.linalg.norm(x_hat - x)), abs(tau), 1e-6)
-        convex = local_convexity_check(
-            zs, model, x, radius, n_samples=convexity_samples, seed=seed
-        )
+    radius = max(float(np.linalg.norm(x_hat - x)), abs(tau), 1e-6)
     return StabilityReport(
         tau=float(tau),
         view_index=int(view_index),
         coord_index=int(coord_index),
         measured_deviation=measured,
         beta_bound=bound,
-        holds=holds,
-        local_convex=convex,
+        holds=measured <= bound + 1e-12,
+        local_convex=local_convexity_check(
+            zs, model, x, radius, n_samples=convexity_samples, seed=seed
+        ),
     )
-
-
-def _kernel_view_losses(z_views, model: IntactModel, x) -> np.ndarray:
-    from .kernel import _embed_stacks  # local import to avoid a cycle
-    from .optimizer import residual_sq_from_stacks
-
-    km = model.kernel_part
-    rows = [np.asarray(z, dtype=np.float64).reshape(1, -1) for z in z_views]
-    G, P, znorm = _embed_stacks(rows, km)
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    s = residual_sq_from_stacks(G, P, znorm, x)[:, 0]
-    c = model.hyperparams.c
-    return np.log1p(s / (c * c))

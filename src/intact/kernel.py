@@ -8,20 +8,20 @@ map norms reduce to Gram-matrix algebra:
                                + x_i^T A_v^T K_v A_v x_i
     ||map_v||^2 = trace(A_v^T K_v A_v)
 
-Training alternates the same reweighted sweeps as the linear fitter; with
-a linear kernel the iterates coincide with the linear model's exactly.
+Training runs the linear fitter's alternation driver (optimizer.alternate)
+on the stacks G_v = A_v^T K_v A_v, P_v = K_v A_v and diag(K_v), with the
+atom solve `_fit_atoms` as the map sweep; with a linear kernel the
+iterates coincide with the linear model's up to round-off.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import (
-    FitHistory,
     Hyperparams,
     IntactEmbedding,
     IntactModel,
@@ -30,11 +30,13 @@ from .core import (
     freeze_array,
 )
 from .errors import GramNotPSD, NonFiniteInput, ShapeMismatch
+from .estimators import weight_sq
 from .optimizer import (
-    _audit_descent,
-    _rho_terms,
+    _as_rows,
+    _map_sweep,
+    _objective,
     _spd_solve,
-    _weights,
+    alternate,
     default_init,
     residual_sq_from_stacks,
     sweep_latents,
@@ -137,6 +139,21 @@ class KernelModel:
     def n_train(self) -> int:
         return self.training_views[0].shape[0]
 
+    def stacks(self, view_rows):
+        """Sweep stacks of new examples (one row matrix per view): P_v and
+        the self-kernels through cross-kernels against the retained
+        training views, G_v as in training."""
+        rows = _as_rows(view_rows, [Z.shape[1] for Z in self.training_views])
+        P = np.stack([
+            cross_gram(Z, Ztr, self.kernel.kind, g) @ A  # (n_new x n_train) A
+            for Z, Ztr, g, A in zip(rows, self.training_views, self.gammas, self.A)
+        ])
+        if self.kernel.kind == "linear":
+            znorm = np.stack([np.einsum("ij,ij->i", Z, Z) for Z in rows])
+        else:
+            znorm = np.ones(P.shape[:2])
+        return _gram_stacks(self.A, self.gram)[0], P, znorm
+
 
 def kernel_residual_sq(i: int, v: int, x, km: KernelModel) -> float:
     """Feature-space squared residual of training example i on view v at
@@ -161,27 +178,21 @@ def kernel_w_norm_sq(v: int, km: KernelModel) -> float:
     model's penalty exactly.
     """
     A = km.A[v]
-    return float(np.einsum("ij,ik,kj->", A, km.gram[v], A))
+    return float(np.sum((km.gram[v] @ A) * A))
 
 
-def _kernel_stacks(km: KernelModel):
-    """Per-view sweep quantities: G_v = A^T K A, P_v = K A, diag(K)."""
-    G = np.stack([A.T @ K @ A for A, K in zip(km.A, km.gram)])
-    P = np.stack([K @ A for A, K in zip(km.A, km.gram)])
-    znorm = np.stack([np.diag(K).copy() for K in km.gram])
-    return G, P, znorm
+def _gram_stacks(A_list, grams):
+    """Sweep stacks in atom coordinates: G_v = A_v^T K_v A_v, P_v = K_v A_v
+    and znorm_v = diag(K_v), so trace(G_v) is the map penalty."""
+    KA = [K @ A for A, K in zip(A_list, grams)]
+    G = np.stack([A.T @ P for A, P in zip(A_list, KA)])
+    return G, np.stack(KA), np.stack([np.diag(K) for K in grams])
 
 
 def kernel_alternation_objective(km_A, grams, X, hp: Hyperparams, loss="cauchy") -> float:
-    G = np.stack([A.T @ K @ A for A, K in zip(km_A, grams)])
-    P = np.stack([K @ A for A, K in zip(km_A, grams)])
-    znorm = np.stack([np.diag(K).copy() for K in grams])
-    s = residual_sq_from_stacks(G, P, znorm, X)
-    m, n = s.shape
-    total = float(_rho_terms(s, hp.c, loss).sum())
-    reg_w = sum(float(np.einsum("ij,ik,kj->", A, K, A)) for A, K in zip(km_A, grams))
-    reg_x = float(np.sum(X * X))
-    return total / (m * n) + hp.C1 * reg_w / m + hp.C2 * reg_x / n
+    """The alternation objective in atom coordinates."""
+    G, P, znorm = _gram_stacks(km_A, grams)
+    return _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
 
 
 def _fit_atoms(K, X, A0, c, C1, tol_x, max_inner, loss="cauchy"):
@@ -193,19 +204,12 @@ def _fit_atoms(K, X, A0, c, C1, tol_x, max_inner, loss="cauchy"):
     """
     n, d = X.shape
     A = A0.copy()
-    kdiag = np.diag(K)
     ridge = n * C1 * np.eye(d)
     iterations = 0
     for k in range(max_inner):
-        KA = K @ A
-        lin = np.einsum("ij,ij->i", KA, X)
-        Gq = A.T @ KA
-        quad = np.einsum("ij,jk,ik->i", X, Gq, X)
-        s = np.maximum(kdiag - 2.0 * lin + quad, 0.0)
-        Q = _weights(s, c, loss)
-        QX = X * Q[:, None]
-        Hw = X.T @ QX + ridge
-        A_new = _spd_solve(Hw, QX.T).T
+        s = residual_sq_from_stacks(*_gram_stacks([A], [K]), X)[0]
+        QX = X * weight_sq(s, c, loss)[:, None]
+        A_new = _spd_solve(X.T @ QX + ridge, QX.T).T
         iterations = k + 1
         delta = float(np.linalg.norm(A_new - A))
         A = A_new
@@ -222,11 +226,11 @@ def kernel_fit(
     loss: str = "cauchy",
     threads: int = 1,
 ):
-    """Alternating reweighted fit in atom coordinates.
+    """Fit the kernel model: Grams, initialization and shape checks
+    around one call of the shared driver `alternate`, with Gram-matrix
+    stacks and `_fit_atoms` as the map solver.
 
-    Mirrors the linear fitter: latent sweep, atom sweep, monotone trace,
-    then a final latent refresh. Returns (IntactModel in kernel mode,
-    IntactEmbedding, FitHistory).
+    Returns (IntactModel in kernel mode, IntactEmbedding, FitHistory).
     """
     if loss not in ("cauchy", "l2"):
         raise ValueError(f"unknown loss {loss!r}")
@@ -258,60 +262,12 @@ def kernel_fit(
         if Av.shape != (n, d):
             raise ShapeMismatch(f"A[{v}] shape {Av.shape}, expected ({n}, {d})")
 
-    J_prev = kernel_alternation_objective(A, grams, X, hp, loss)
-    trace = []
-    inner = []
-    converged = False
-    stop_reason = "max_iter"
-    last = J_prev
-
-    def run_x_sweep(X_cur):
-        G = np.stack([Av.T @ K @ Av for Av, K in zip(A, grams)])
-        P = np.stack([K @ Av for Av, K in zip(A, grams)])
-        znorm = np.stack([np.diag(K).copy() for K in grams])
-        return sweep_latents(
-            G, P, znorm, X_cur, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss, threads
-        )
-
-    def run_a_sweep(X_cur):
-        def one(v):
-            return _fit_atoms(
-                grams[v], X_cur, A[v], hp.c, hp.C1, hp.tol_x, hp.max_inner, loss
-            )
-
-        if threads > 1 and m > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, m)) as pool:
-                results = list(pool.map(one, range(m)))
-        else:
-            results = [one(v) for v in range(m)]
-        return [r[0] for r in results], max(r[1] for r in results)
-
-    for _ in range(hp.max_outer):
-        X, x_iters, _ = run_x_sweep(X)
-        J1 = kernel_alternation_objective(A, grams, X, hp, loss)
-        _audit_descent(last, J1)
-        trace.append(("x-update", J1))
-        last = J1
-
-        A, a_iters = run_a_sweep(X)
-        J2 = kernel_alternation_objective(A, grams, X, hp, loss)
-        _audit_descent(last, J2)
-        trace.append(("W-update", J2))
-        last = J2
-        inner.append((int(np.max(x_iters)), int(a_iters)))
-
-        if abs(J2 - J_prev) <= hp.tol_obj * max(1.0, abs(J_prev)):
-            converged = True
-            stop_reason = "objective_tol"
-            break
-        J_prev = J2
-
-    X, x_iters, _ = run_x_sweep(X)
-    J3 = kernel_alternation_objective(A, grams, X, hp, loss)
-    _audit_descent(last, J3)
-    trace.append(("x-update", J3))
-    inner.append((int(np.max(x_iters)), 0))
-
+    A, X, history = alternate(
+        A, X,
+        lambda A: _gram_stacks(A, grams),
+        _map_sweep(_fit_atoms, grams, hp, loss),
+        hp, loss, threads,
+    )
     km = KernelModel(
         A=tuple(freeze_array(Av) for Av in A),
         training_views=tuple(views),
@@ -320,42 +276,13 @@ def kernel_fit(
         gammas=tuple(gammas),
     )
     model = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)
-    history = FitHistory(
-        objective_trace=tuple(trace),
-        inner_iterations=tuple(inner),
-        converged=converged,
-        stop_reason=stop_reason,
-    )
     return model, IntactEmbedding(X), history
-
-
-def _embed_stacks(z_rows, km: KernelModel):
-    """Sweep quantities for new examples given per view as row matrices."""
-    G, P, znorm = [], [], []
-    for v, (Znew, A, Ztr, g) in enumerate(
-        zip(z_rows, km.A, km.training_views, km.gammas)
-    ):
-        Znew = np.atleast_2d(np.asarray(Znew, dtype=np.float64))
-        if Znew.shape[1] != Ztr.shape[1]:
-            raise ShapeMismatch(
-                f"view {v} has {Znew.shape[1]} columns, model expects {Ztr.shape[1]}"
-            )
-        Kx = cross_gram(Znew, Ztr, km.kernel.kind, g)  # n_new x n_train
-        if km.kernel.kind == "linear":
-            kself = np.einsum("ij,ij->i", Znew, Znew)
-        else:
-            kself = np.ones(Znew.shape[0])
-        G.append(A.T @ km.gram[v] @ A)
-        P.append(Kx @ A)
-        znorm.append(kself)
-    return np.stack(G), np.stack(P), np.stack(znorm)
 
 
 def kernel_embed_many(z_rows, km: KernelModel, hp: Hyperparams, threads: int = 1):
     """Embed a batch of new multi-view examples (one row matrix per view)."""
-    G, P, znorm = _embed_stacks(z_rows, km)
-    n_new = znorm.shape[1]
-    X0 = np.zeros((n_new, G.shape[1]))
+    G, P, znorm = km.stacks(z_rows)
+    X0 = np.zeros((znorm.shape[1], G.shape[1]))
     X, _, _ = sweep_latents(
         G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, hp.max_inner, "cauchy", threads
     )

@@ -128,26 +128,43 @@ class _Cursor:
                 return line
         raise ParseError(f"{self.path}: unexpected end of file", line_number=self.pos)
 
+    def fail(self, message: str):
+        raise ParseError(f"{self.path}: line {self.pos}: {message}", line_number=self.pos)
+
     def expect(self, keyword: str) -> list:
-        line = self.next()
-        parts = line.split()
+        parts = self.next().split()
         if parts[0] != keyword:
-            raise ParseError(
-                f"{self.path}: line {self.pos}: expected {keyword!r}, got {parts[0]!r}",
-                line_number=self.pos,
-            )
+            self.fail(f"expected {keyword!r}, got {parts[0]!r}")
         return parts[1:]
+
+    def numbers(self, tokens, kind=float) -> list:
+        """Convert tokens of the line just read, naming the line on failure."""
+        try:
+            return [kind(t) for t in tokens]
+        except ValueError:
+            self.fail(f"expected {kind.__name__} values, got {' '.join(tokens)!r}")
+
+    def scalar(self, keyword: str, kind=float):
+        """Value of a `keyword value` line."""
+        parts = self.expect(keyword)
+        if len(parts) != 1:
+            self.fail(f"expected one value after {keyword!r}")
+        return self.numbers(parts, kind)[0]
+
+    def block(self, keyword: str) -> tuple:
+        """(rows, cols) from a `keyword index rows cols` block header."""
+        parts = self.expect(keyword)
+        if len(parts) != 3:
+            self.fail(f"expected '{keyword} index rows cols'")
+        return tuple(self.numbers(parts[1:], int))
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         out = np.empty((rows, cols))
         for i in range(rows):
             parts = self.next().replace(",", " ").split()
             if len(parts) != cols:
-                raise ParseError(
-                    f"{self.path}: line {self.pos}: expected {cols} values",
-                    line_number=self.pos,
-                )
-            out[i] = [float(p) for p in parts]
+                self.fail(f"expected {cols} values")
+            out[i] = self.numbers(parts)
         return out
 
 
@@ -200,55 +217,52 @@ def load_model(path):
     magic = cur.next()
     if magic != MODEL_MAGIC:
         raise ParseError(f"{path}: not a model file (bad magic {magic!r})", 1)
-    mode = cur.expect("mode")[0]
-    m = int(cur.expect("m")[0])
-    d = int(cur.expect("d")[0])
-    n_train = int(cur.expect("n_train")[0]) if mode == "kernel" else None
-    view_dims = [int(x) for x in cur.expect("view_dims")]
+    mode = cur.scalar("mode", str)
+    m = cur.scalar("m", int)
+    d = cur.scalar("d", int)
+    if mode == "kernel":
+        cur.scalar("n_train", int)
+    view_dims = cur.numbers(cur.expect("view_dims"), int)
     if len(view_dims) != m:
-        raise ParseError(f"{path}: view_dims lists {len(view_dims)} views, expected {m}")
+        cur.fail(f"view_dims lists {len(view_dims)} views, expected {m}")
     hp = Hyperparams(
         d=d,
-        c=float(cur.expect("c")[0]),
-        C1=float(cur.expect("C1")[0]),
-        C2=float(cur.expect("C2")[0]),
-        max_outer=int(cur.expect("max_outer")[0]),
-        max_inner=int(cur.expect("max_inner")[0]),
-        tol_obj=float(cur.expect("tol_obj")[0]),
-        tol_x=float(cur.expect("tol_x")[0]),
-        seed=int(cur.expect("seed")[0]),
+        c=cur.scalar("c"),
+        C1=cur.scalar("C1"),
+        C2=cur.scalar("C2"),
+        max_outer=cur.scalar("max_outer", int),
+        max_inner=cur.scalar("max_inner", int),
+        tol_obj=cur.scalar("tol_obj"),
+        tol_x=cur.scalar("tol_x"),
+        seed=cur.scalar("seed", int),
     )
-    standardized = int(cur.expect("standardized")[0])
+    standardized = cur.scalar("standardized", int)
     record = None
     if standardized:
         means, scales = [], []
         for v in range(m):
-            mu = cur.expect("mean")
-            sc = cur.expect("scale")
-            if int(mu[0]) != v or int(sc[0]) != v:
-                raise ParseError(f"{path}: standardization record out of order")
-            means.append(freeze_array([float(x) for x in mu[1:]]))
-            scales.append(freeze_array([float(x) for x in sc[1:]]))
+            for keyword, out in (("mean", means), ("scale", scales)):
+                parts = cur.expect(keyword)
+                if cur.numbers(parts[:1], int) != [v]:
+                    cur.fail("standardization record out of order")
+                out.append(freeze_array(cur.numbers(parts[1:])))
         record = StandardizeRecord(means=tuple(means), scales=tuple(scales))
 
     if mode == "linear":
-        Ws = []
-        for v in range(m):
-            _, rows, cols = (int(x) for x in cur.expect("W"))
-            Ws.append(freeze_array(cur.matrix(rows, cols)))
+        Ws = [freeze_array(cur.matrix(*cur.block("W"))) for _ in range(m)]
         model = IntactModel(mode="linear", W=tuple(Ws), kernel_part=None, hyperparams=hp)
     else:
-        kind = cur.expect("kernel")[0]
+        kind = cur.scalar("kernel", str)
         gammas = []
         for v in range(m):
             parts = cur.expect("gamma")
-            gammas.append(None if parts[1] == "none" else float(parts[1]))
+            if len(parts) != 2:
+                cur.fail("expected 'gamma index value'")
+            gammas.append(None if parts[1] == "none" else cur.numbers(parts[1:])[0])
         As, Zs, grams = [], [], []
         for v in range(m):
-            _, rows, cols = (int(x) for x in cur.expect("A"))
-            As.append(freeze_array(cur.matrix(rows, cols)))
-            _, zrows, zcols = (int(x) for x in cur.expect("Z"))
-            Zv = freeze_array(cur.matrix(zrows, zcols))
+            As.append(freeze_array(cur.matrix(*cur.block("A"))))
+            Zv = freeze_array(cur.matrix(*cur.block("Z")))
             Zs.append(Zv)
             grams.append(freeze_array(gram(Zv, KernelSpec(kind, gammas[v]))))
         km = KernelModel(
@@ -260,5 +274,5 @@ def load_model(path):
         )
         model = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)
     if cur.next() != "end":
-        raise ParseError(f"{path}: missing end marker")
+        cur.fail("missing end marker")
     return model, record

@@ -1,7 +1,8 @@
-"""Alternating reweighted-residual training of the linear intact-space model.
+"""Alternating reweighted-residual training of the intact-space model.
 
-Each outer iteration runs one sweep of per-example latent solves followed
-by one sweep of per-view map solves. Every solve is a fixed-point
+One driver, `alternate`, fits both the linear and the kernel model. Each
+outer iteration runs one sweep of per-example latent solves followed by
+one sweep of per-view map solves. Every solve is a fixed-point
 iteration: residual-dependent weights followed by a closed-form ridge
 system. Both sweeps decrease the alternation objective
 
@@ -10,6 +11,14 @@ system. Both sweeps decrease the alternation objective
 
 whose per-example and per-view restrictions are exactly the subproblems
 the sweeps minimize, so the recorded trace is monotone by construction.
+
+The driver sees a model only through its per-view stacks G_v = W_v^T W_v,
+P_v = Z_v W_v and the squared row norms of Z_v. Residuals, weights, the
+objective and the map penalty ||W_v||_F^2 = trace(G_v) all follow from
+them, so kernel mode (kernel.py) runs the same driver on Gram-matrix
+stacks with its own map solver. The per-example functions (`objective_x`,
+`grad_x`, `update_x_once`, `solve_x`, `majorant_*`) are the batched
+latent step at n = 1 and accept models of either mode.
 `objective_full` keeps the sum-normalized regularizers for standalone use.
 """
 
@@ -31,6 +40,7 @@ from .core import (
     freeze_array,
 )
 from .errors import DivergenceDetected, ShapeMismatch, SingularSystem
+from .estimators import rho_sq, weight_sq
 
 # A half step may exceed exact descent only through round-off; anything
 # beyond this relative slack is treated as a bug.
@@ -78,106 +88,158 @@ def _spd_solve_batched(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def _weights(s: np.ndarray, c: float, loss: str) -> np.ndarray:
-    if loss == "l2":
-        return np.ones_like(s)
-    return 1.0 / (c * c + s)
+# ---------------------------------------------------------------------------
+# residuals, stacks and the objective
+# ---------------------------------------------------------------------------
+
+def _view_residual_sq(Z, X, W) -> np.ndarray:
+    """Squared residual norms ||z_i - W x_i||^2 of one view, shape (n,)."""
+    R = np.asarray(Z, dtype=np.float64) - X @ W.T
+    return np.einsum("ij,ij->i", R, R)
 
 
-def _rho_terms(s: np.ndarray, c: float, loss: str) -> np.ndarray:
-    if loss == "l2":
-        return s
-    return np.log1p(s / (c * c))
+def _view_stacks(views, W_list):
+    """Per-view quantities the latent sweep and the objective read:
+    G_v = W_v^T W_v, P_v = Z_v W_v, and squared row norms of Z_v."""
+    G = np.array([Wv.T @ Wv for Wv in W_list])
+    P = np.array([np.asarray(Z) @ Wv for Z, Wv in zip(views, W_list)])
+    znorm = np.array([np.einsum("ij,ij->i", Z, Z) for Z in views])
+    return G, P, znorm
 
 
-def _check_views_against_model(z_views, model: IntactModel):
+def _as_rows(view_rows, dims) -> list:
+    """One float row matrix per view, checked against the model's widths."""
+    rows = [np.atleast_2d(np.asarray(Z, dtype=np.float64)) for Z in view_rows]
+    if len(rows) != len(dims):
+        raise ShapeMismatch(f"got {len(rows)} views for a model with {len(dims)}")
+    for v, (Z, D) in enumerate(zip(rows, dims)):
+        if Z.shape[1] != D:
+            raise ShapeMismatch(f"view {v} has {Z.shape[1]} columns, model expects {D}")
+    return rows
+
+
+def _example_stacks(view_rows, model: IntactModel):
+    """Stacks of examples given as one row matrix per view, in either mode:
+    explicit maps in linear mode, cross-kernels against the retained
+    training views in kernel mode."""
+    if model.mode == "kernel":
+        return model.kernel_part.stacks(view_rows)
+    return _view_stacks(_as_rows(view_rows, model.view_dims), model.W)
+
+
+def residual_sq_from_stacks(G, P, znorm, X) -> np.ndarray:
+    """Squared residual of each example on each view, shape (m, n).
+
+    Tiny negative values from cancellation are clamped to zero.
+    """
+    lin = np.einsum("vnd,nd->vn", P, X)
+    quad = np.einsum("vne,ne->vn", X @ G, X)
+    return np.maximum(znorm - 2.0 * lin + quad, 0.0)
+
+
+def data_term(s, c: float, loss: str = "cauchy") -> float:
+    """Mean loss over a block of squared residual norms: the data term of
+    every objective in the package."""
+    return float(rho_sq(s, c, loss).sum()) / s.size
+
+
+def _objective(s, G, X, hp: Hyperparams, loss: str) -> float:
+    """Alternation objective from the squared residuals s (m x n) and the
+    map stacks G; the map penalty ||W_v||_F^2 is trace(G_v) in both modes."""
+    m, n = s.shape
+    reg_w = float(np.trace(G, axis1=1, axis2=2).sum())
+    reg_x = float(np.sum(X * X))
+    return data_term(s, hp.c, loss) + hp.C1 * reg_w / m + hp.C2 * reg_x / n
+
+
+def alternation_objective(views, W_list, X, hp: Hyperparams, loss="cauchy") -> float:
+    """The objective both sweeps block-minimize: mean reconstruction loss
+    plus per-view-averaged C1 penalty and per-example-averaged C2 penalty."""
+    G, P, znorm = _view_stacks(views, W_list)
+    return _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
+
+
+def _model_residual_sq(dataset, model: IntactModel, X) -> np.ndarray:
+    """Squared residuals (m x n) of a dataset under a linear model."""
     if model.mode != "linear":
         raise ShapeMismatch("operation requires a linear-mode model")
-    if len(z_views) != len(model.W):
-        raise ShapeMismatch(
-            f"got {len(z_views)} views for a model with {len(model.W)}"
-        )
+    views = dataset.views if isinstance(dataset, MultiViewDataset) else list(dataset)
+    views = _as_rows(views, model.view_dims)
+    for v, Z in enumerate(views):
+        if Z.shape[0] != X.shape[0]:
+            raise ShapeMismatch(f"view {v} has {Z.shape[0]} rows, expected {X.shape[0]}")
+    return np.stack([_view_residual_sq(Z, X, Wv) for Z, Wv in zip(views, model.W)])
 
-
-def _example_vectors(z_views, model: IntactModel):
-    out = []
-    for v, (z, Wv) in enumerate(zip(z_views, model.W)):
-        z = np.asarray(z, dtype=np.float64).reshape(-1)
-        if z.shape[0] != Wv.shape[0]:
-            raise ShapeMismatch(
-                f"view {v} vector has length {z.shape[0]}, expected {Wv.shape[0]}"
-            )
-        out.append(z)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# objectives and gradients
-# ---------------------------------------------------------------------------
 
 def objective_full(dataset, model: IntactModel, X) -> float:
     """Joint objective: mean Cauchy reconstruction loss over all (view,
     example) pairs plus C1 * sum_v ||W_v||_F^2 + C2 * sum_i ||x_i||^2."""
-    views = dataset.views if isinstance(dataset, MultiViewDataset) else list(dataset)
-    _check_views_against_model(views, model)
     X = as_matrix(X)
     hp = model.hyperparams
-    n = X.shape[0]
-    m = len(views)
-    total = 0.0
-    for v, (Z, Wv) in enumerate(zip(views, model.W)):
-        Z = np.asarray(Z, dtype=np.float64)
-        if Z.shape != (n, Wv.shape[0]):
-            raise ShapeMismatch(
-                f"view {v} has shape {Z.shape}, expected ({n}, {Wv.shape[0]})"
-            )
-        R = Z - X @ Wv.T
-        s = np.einsum("ij,ij->i", R, R)
-        total += float(np.log1p(s / (hp.c * hp.c)).sum())
+    data = data_term(_model_residual_sq(dataset, model, X), hp.c)
     reg_w = sum(float(np.sum(Wv * Wv)) for Wv in model.W)
-    reg_x = float(np.sum(X * X))
-    return total / (m * n) + hp.C1 * reg_w + hp.C2 * reg_x
-
-
-def objective_x(z_views, model: IntactModel, x) -> float:
-    """Per-example objective: mean Cauchy loss across views + C2 ||x||^2."""
-    _check_views_against_model(z_views, model)
-    zs = _example_vectors(z_views, model)
-    hp = model.hyperparams
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    total = 0.0
-    for z, Wv in zip(zs, model.W):
-        r = z - Wv @ x
-        total += float(np.log1p(r @ r / (hp.c * hp.c)))
-    return total / len(zs) + hp.C2 * float(x @ x)
-
-
-def grad_x(z_views, model: IntactModel, x) -> np.ndarray:
-    """Gradient of objective_x at x."""
-    _check_views_against_model(z_views, model)
-    zs = _example_vectors(z_views, model)
-    hp = model.hyperparams
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    g = np.zeros_like(x)
-    for z, Wv in zip(zs, model.W):
-        r = z - Wv @ x
-        g += -2.0 * (Wv.T @ r) / (hp.c * hp.c + r @ r)
-    return g / len(zs) + 2.0 * hp.C2 * x
+    return data + hp.C1 * reg_w + hp.C2 * float(np.sum(X * X))
 
 
 def objective_w(view_data, X, W, hp: Hyperparams) -> float:
     """Per-view objective: mean Cauchy loss across examples + C1 ||W||_F^2."""
-    Z = np.asarray(view_data, dtype=np.float64)
-    X = as_matrix(X)
-    R = Z - X @ W.T
-    s = np.einsum("ij,ij->i", R, R)
-    n = Z.shape[0]
-    return float(np.log1p(s / (hp.c * hp.c)).sum()) / n + hp.C1 * float(np.sum(W * W))
+    s = _view_residual_sq(view_data, as_matrix(X), W)
+    return data_term(s, hp.c) + hp.C1 * float(np.sum(W * W))
 
 
 # ---------------------------------------------------------------------------
-# single reweighted updates (fixed-point iterations use these)
+# the batched latent step, and its n = 1 restrictions
 # ---------------------------------------------------------------------------
+
+def _latent_system(G, P, znorm, X, c, C2, loss="cauchy"):
+    """Squared residuals at X and every row's reweighted ridge system
+    (sum_v q_v G_v + m C2 I) x = sum_v q_v P_v, weights q_v taken at X.
+
+    Each solution is the row's next latent iterate: the minimizer of the
+    quadratic majorant of its objective at X.
+    """
+    m, d = G.shape[0], G.shape[1]
+    s = residual_sq_from_stacks(G, P, znorm, X)
+    Q = weight_sq(s, c, loss)
+    H = np.einsum("vn,vij->nij", Q, G) + m * C2 * np.eye(d)
+    rhs = np.einsum("vn,vnd->nd", Q, P)
+    return s, H, rhs
+
+
+def _latent_step(G, P, znorm, X, c, C2, loss="cauchy") -> np.ndarray:
+    """One reweighted update of every row of X."""
+    _, H, rhs = _latent_system(G, P, znorm, X, c, C2, loss)
+    return _spd_solve_batched(H, rhs)
+
+
+def _single_example_stacks(z_views, model: IntactModel):
+    """Stacks of one example given as one vector per view (n = 1)."""
+    return _example_stacks([np.reshape(z, (1, -1)) for z in z_views], model)
+
+
+def _example_system(z_views, model: IntactModel, x):
+    """Per-view squared residuals, reweighted system (H, rhs) and latent
+    point of one example at x, under the model's hyperparameters."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    hp = model.hyperparams
+    stacks = _single_example_stacks(z_views, model)
+    s, H, rhs = _latent_system(*stacks, x[None], hp.c, hp.C2)
+    return s[:, 0], H[0], rhs[0], x
+
+
+def objective_x(z_views, model: IntactModel, x) -> float:
+    """Per-example objective: mean Cauchy loss across views + C2 ||x||^2."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    s = residual_sq_from_stacks(*_single_example_stacks(z_views, model), x[None])
+    return data_term(s, model.hyperparams.c) + model.hyperparams.C2 * float(x @ x)
+
+
+def grad_x(z_views, model: IntactModel, x) -> np.ndarray:
+    """Gradient of objective_x at x: (2/m)(H x - rhs) for the reweighted
+    system at x."""
+    s, H, rhs, x = _example_system(z_views, model, x)
+    return 2.0 * (H @ x - rhs) / s.shape[0]
+
 
 def update_x_once(z_views, model: IntactModel, x_current) -> np.ndarray:
     """One reweighted update of a latent point.
@@ -186,119 +248,15 @@ def update_x_once(z_views, model: IntactModel, x_current) -> np.ndarray:
     the weighted ridge system (sum_v Q_v W_v^T W_v + m C2 I) x =
     sum_v Q_v W_v^T z^v is solved in closed form.
     """
-    _check_views_against_model(z_views, model)
-    zs = _example_vectors(z_views, model)
-    hp = model.hyperparams
-    x = np.asarray(x_current, dtype=np.float64).reshape(-1)
-    d = x.shape[0]
-    m = len(zs)
-    H = m * hp.C2 * np.eye(d)
-    rhs = np.zeros(d)
-    for z, Wv in zip(zs, model.W):
-        r = z - Wv @ x
-        q = 1.0 / (hp.c * hp.c + r @ r)
-        H += q * (Wv.T @ Wv)
-        rhs += q * (Wv.T @ z)
-    return _spd_solve(H, rhs)
+    _, H, rhs, _ = _example_system(z_views, model, x_current)
+    return _spd_solve_batched(H[None], rhs[None])[0]
 
-
-def update_w_once(view_data, X, w_current, hp: Hyperparams) -> np.ndarray:
-    """One reweighted update of a view map.
-
-    Per-example weights 1/(c^2 + ||z_i - W x_i||^2) at w_current, then
-    W = (sum_i z_i Q_i x_i^T)(sum_i x_i Q_i x_i^T + n C1 I)^{-1}.
-    """
-    Z = np.asarray(view_data, dtype=np.float64)
-    X = as_matrix(X)
-    W = np.asarray(w_current, dtype=np.float64)
-    if Z.shape[0] != X.shape[0] or W.shape != (Z.shape[1], X.shape[1]):
-        raise ShapeMismatch(
-            f"inconsistent shapes: Z {Z.shape}, X {X.shape}, W {W.shape}"
-        )
-    n, d = X.shape
-    R = Z - X @ W.T
-    s = np.einsum("ij,ij->i", R, R)
-    Q = 1.0 / (hp.c * hp.c + s)
-    QX = X * Q[:, None]
-    Hw = X.T @ QX + n * hp.C1 * np.eye(d)
-    M = QX.T @ Z  # d x D
-    return _spd_solve(Hw, M).T
-
-
-def solve_x(z_views, model: IntactModel, x0, hp: Hyperparams = None) -> SubproblemResult:
-    """Iterate update_x_once until the latent point stops moving.
-
-    Stops when the iterate change drops to hp.tol_x or hp.max_inner is
-    reached. The recorded objective trace is non-increasing.
-    """
-    hp = hp or model.hyperparams
-    x = np.asarray(x0, dtype=np.float64).reshape(-1).copy()
-    trace = [objective_x(z_views, model, x)]
-    iterations = 0
-    for _ in range(hp.max_inner):
-        x_new = update_x_once(z_views, model, x)
-        iterations += 1
-        trace.append(objective_x(z_views, model, x_new))
-        delta = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if delta <= hp.tol_x:
-            break
-    zs = _example_vectors(z_views, model)
-    res = np.array([float((z - Wv @ x) @ (z - Wv @ x)) for z, Wv in zip(zs, model.W)])
-    return SubproblemResult(
-        solution=x,
-        iterations=iterations,
-        final_residuals=res,
-        objective_before=trace[0],
-        objective_after=trace[-1],
-        objective_trace=tuple(trace),
-    )
-
-
-def solve_w(view_data, X, w0, hp: Hyperparams) -> SubproblemResult:
-    """Iterate update_w_once until the view map stops moving (Frobenius)."""
-    Z = np.asarray(view_data, dtype=np.float64)
-    X = as_matrix(X)
-    W = np.asarray(w0, dtype=np.float64).copy()
-    trace = [objective_w(Z, X, W, hp)]
-    iterations = 0
-    for _ in range(hp.max_inner):
-        W_new = update_w_once(Z, X, W, hp)
-        iterations += 1
-        trace.append(objective_w(Z, X, W_new, hp))
-        delta = float(np.linalg.norm(W_new - W))
-        W = W_new
-        if delta <= hp.tol_x:
-            break
-    R = Z - X @ W.T
-    res = np.einsum("ij,ij->i", R, R)
-    return SubproblemResult(
-        solution=W,
-        iterations=iterations,
-        final_residuals=res,
-        objective_before=trace[0],
-        objective_after=trace[-1],
-        objective_trace=tuple(trace),
-    )
-
-
-# ---------------------------------------------------------------------------
-# majorant diagnostics
-# ---------------------------------------------------------------------------
 
 def majorant_curvature(z_views, model: IntactModel, x_k) -> np.ndarray:
     """Curvature matrix of the quadratic upper bound at x_k:
     (1/m) sum_v W_v^T W_v / (c^2 + ||z^v - W_v x_k||^2) + C2 I."""
-    _check_views_against_model(z_views, model)
-    zs = _example_vectors(z_views, model)
-    hp = model.hyperparams
-    x_k = np.asarray(x_k, dtype=np.float64).reshape(-1)
-    d = x_k.shape[0]
-    C = np.zeros((d, d))
-    for z, Wv in zip(zs, model.W):
-        r = z - Wv @ x_k
-        C += (Wv.T @ Wv) / (hp.c * hp.c + r @ r)
-    return C / len(zs) + hp.C2 * np.eye(d)
+    s, H, _, _ = _example_system(z_views, model, x_k)
+    return H / s.shape[0]
 
 
 def majorant_value(x, x_k, z_views, model: IntactModel, hp: Hyperparams = None) -> float:
@@ -315,45 +273,93 @@ def majorant_value(x, x_k, z_views, model: IntactModel, hp: Hyperparams = None) 
     return objective_x(z_views, model, x_k) + float(delta @ g) + float(delta @ C @ delta)
 
 
-# ---------------------------------------------------------------------------
-# batched sweeps used by fit
-# ---------------------------------------------------------------------------
+def _iterate(update, value, residuals, start, hp: Hyperparams) -> SubproblemResult:
+    """Apply `update` until the iterate moves by at most hp.tol_x, at most
+    hp.max_inner times, recording `value` of every iterate."""
+    cur, trace = start, [value(start)]
+    for _ in range(hp.max_inner):
+        new = update(cur)
+        trace.append(value(new))
+        delta = float(np.linalg.norm(new - cur))
+        cur = new
+        if delta <= hp.tol_x:
+            break
+    return SubproblemResult(
+        solution=cur,
+        iterations=len(trace) - 1,
+        final_residuals=residuals(cur),
+        objective_before=trace[0],
+        objective_after=trace[-1],
+        objective_trace=tuple(trace),
+    )
 
-def _view_stacks(views, W_list):
-    """Per-view quantities reused across a latent sweep: G_v = W_v^T W_v,
-    P_v = Z_v W_v, and squared row norms of Z_v."""
-    G = np.stack([Wv.T @ Wv for Wv in W_list])
-    P = np.stack([np.asarray(Z) @ Wv for Z, Wv in zip(views, W_list)])
-    znorm = np.stack([np.einsum("ij,ij->i", Z, Z) for Z in views])
-    return G, P, znorm
 
+def solve_x(z_views, model: IntactModel, x0, hp: Hyperparams = None) -> SubproblemResult:
+    """Iterate update_x_once until the latent point stops moving.
 
-def residual_sq_from_stacks(G, P, znorm, X) -> np.ndarray:
-    """Squared residual of each example on each view, shape (m, n).
-
-    Tiny negative values from cancellation are clamped to zero.
+    Stops when the iterate change drops to hp.tol_x or hp.max_inner is
+    reached. The recorded objective trace is non-increasing.
     """
-    lin = np.einsum("vnd,nd->vn", P, X)
-    quad = np.einsum("nd,vde,ne->vn", X, G, X)
-    return np.maximum(znorm - 2.0 * lin + quad, 0.0)
+    hp = hp or model.hyperparams
+    c, C2 = model.hyperparams.c, model.hyperparams.C2
+    stacks = _single_example_stacks(z_views, model)
+
+    def residuals(x):
+        return residual_sq_from_stacks(*stacks, x[None])[:, 0]
+
+    return _iterate(
+        lambda x: _latent_step(*stacks, x[None], c, C2)[0],
+        lambda x: data_term(residuals(x), c) + C2 * float(x @ x),
+        residuals,
+        np.array(x0, dtype=np.float64).reshape(-1),
+        hp,
+    )
 
 
-def _latent_chunk(G, P, znorm, X0, m, c, C2, tol_x, max_inner, loss):
-    n, d = X0.shape
+def update_w_once(view_data, X, w_current, hp: Hyperparams) -> np.ndarray:
+    """One reweighted update of a view map.
+
+    Per-example weights 1/(c^2 + ||z_i - W x_i||^2) at w_current, then
+    W = (sum_i z_i Q_i x_i^T)(sum_i x_i Q_i x_i^T + n C1 I)^{-1}.
+    """
+    Z = np.asarray(view_data, dtype=np.float64)
+    X = as_matrix(X)
+    W = np.asarray(w_current, dtype=np.float64)
+    if Z.shape[0] != X.shape[0] or W.shape != (Z.shape[1], X.shape[1]):
+        raise ShapeMismatch(
+            f"inconsistent shapes: Z {Z.shape}, X {X.shape}, W {W.shape}"
+        )
+    return fit_view_map(Z, X, W, hp.c, hp.C1, hp.tol_x, 1)[0]
+
+
+def solve_w(view_data, X, w0, hp: Hyperparams) -> SubproblemResult:
+    """Iterate update_w_once until the view map stops moving (Frobenius)."""
+    Z = np.asarray(view_data, dtype=np.float64)
+    X = as_matrix(X)
+    return _iterate(
+        lambda W: update_w_once(Z, X, W, hp),
+        lambda W: objective_w(Z, X, W, hp),
+        lambda W: _view_residual_sq(Z, X, W),
+        np.array(w0, dtype=np.float64),
+        hp,
+    )
+
+
+# ---------------------------------------------------------------------------
+# batched sweeps and the alternation driver
+# ---------------------------------------------------------------------------
+
+def _latent_chunk(G, P, znorm, X0, c, C2, tol_x, max_inner, loss):
+    n = X0.shape[0]
     X = X0.copy()
     active = np.ones(n, dtype=bool)
     iters = np.zeros(n, dtype=np.int64)
-    ridge = m * C2 * np.eye(d)
     for k in range(max_inner):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         Xa = X[idx]
-        s = residual_sq_from_stacks(G, P[:, idx], znorm[:, idx], Xa)
-        Q = _weights(s, c, loss)
-        H = np.einsum("vn,vij->nij", Q, G) + ridge
-        rhs = np.einsum("vn,vnd->nd", Q, P[:, idx])
-        X_new = _spd_solve_batched(H, rhs)
+        X_new = _latent_step(G, P[:, idx], znorm[:, idx], Xa, c, C2, loss)
         delta = np.linalg.norm(X_new - Xa, axis=1)
         X[idx] = X_new
         iters[idx] = k + 1
@@ -363,16 +369,20 @@ def _latent_chunk(G, P, znorm, X0, m, c, C2, tol_x, max_inner, loss):
 
 
 def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner, loss="cauchy", threads=1):
-    """Solve every example's latent subproblem (independent across rows)."""
-    m, n = znorm.shape
+    """Solve every example's latent subproblem (independent across rows).
+
+    Returns the new latents, each row's inner iteration count, and the
+    squared residuals (m x n) at the new latents.
+    """
+    n = znorm.shape[1]
     if threads <= 1 or n < 2 * threads:
-        return _latent_chunk(G, P, znorm, X0, m, c, C2, tol_x, max_inner, loss)
+        return _latent_chunk(G, P, znorm, X0, c, C2, tol_x, max_inner, loss)
     chunks = np.array_split(np.arange(n), threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(
             pool.map(
                 lambda ix: _latent_chunk(
-                    G, P[:, ix], znorm[:, ix], X0[ix], m, c, C2, tol_x, max_inner, loss
+                    G, P[:, ix], znorm[:, ix], X0[ix], c, C2, tol_x, max_inner, loss
                 ),
                 chunks,
             )
@@ -390,12 +400,8 @@ def fit_view_map(Z, X, W0, c, C1, tol_x, max_inner, loss="cauchy"):
     ridge = n * C1 * np.eye(d)
     iterations = 0
     for k in range(max_inner):
-        R = Z - X @ W.T
-        s = np.einsum("ij,ij->i", R, R)
-        Q = _weights(s, c, loss)
-        QX = X * Q[:, None]
-        Hw = X.T @ QX + ridge
-        W_new = _spd_solve(Hw, QX.T @ Z).T
+        QX = X * weight_sq(_view_residual_sq(Z, X, W), c, loss)[:, None]
+        W_new = _spd_solve(X.T @ QX + ridge, QX.T @ Z).T
         iterations = k + 1
         delta = float(np.linalg.norm(W_new - W))
         W = W_new
@@ -404,27 +410,78 @@ def fit_view_map(Z, X, W0, c, C1, tol_x, max_inner, loss="cauchy"):
     return W, iterations
 
 
-def alternation_objective(views, W_list, X, hp: Hyperparams, loss="cauchy") -> float:
-    """The objective both sweeps block-minimize: mean reconstruction loss
-    plus per-view-averaged C1 penalty and per-example-averaged C2 penalty."""
-    m = len(views)
-    n = X.shape[0]
-    total = 0.0
-    for Z, Wv in zip(views, W_list):
-        R = np.asarray(Z) - X @ Wv.T
-        s = np.einsum("ij,ij->i", R, R)
-        total += float(_rho_terms(s, hp.c, loss).sum())
-    reg_w = sum(float(np.sum(Wv * Wv)) for Wv in W_list)
-    reg_x = float(np.sum(X * X))
-    return total / (m * n) + hp.C1 * reg_w / m + hp.C2 * reg_x / n
-
-
 def _audit_descent(prev: float, new: float):
     if new > prev + DIVERGENCE_REL_TOL * max(1.0, abs(prev)):
         raise DivergenceDetected(
             f"objective rose from {prev!r} to {new!r}; reweighted updates "
             "guarantee descent, so this indicates a bug"
         )
+
+
+def _map_sweep(solve_map, view_data, hp: Hyperparams, loss: str):
+    """A map sweep for `alternate`: each view's map in turn solved by
+    solve_map(data_v, X, map_v, c, C1, tol_x, max_inner, loss)."""
+
+    def sweep(X, maps):
+        out = [
+            solve_map(D, X, M, hp.c, hp.C1, hp.tol_x, hp.max_inner, loss)
+            for D, M in zip(view_data, maps)
+        ]
+        return [M for M, _ in out], max(k for _, k in out)
+
+    return sweep
+
+
+def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy", threads=1):
+    """Alternate latent and map sweeps until the objective stalls.
+
+    `stacks(maps)` returns the (G, P, znorm) stacks of the maps and
+    `map_sweep(X, maps)` returns (new maps, most inner iterations of any
+    view); nothing else depends on the mode. Each half step's objective is
+    audited for descent and recorded. A final latent sweep runs after the
+    outer loop so the stored latents are the exact per-example minimizers
+    for the returned maps. Returns (maps, X, FitHistory).
+    """
+    G, P, znorm = stacks(maps)
+    J_prev = J0 = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
+    trace = []
+    inner = []
+    stop_reason = "max_iter"
+
+    def record(kind, J):
+        _audit_descent(trace[-1][1] if trace else J0, J)
+        trace.append((kind, J))
+
+    for _ in range(hp.max_outer):
+        X, x_iters, s = sweep_latents(
+            G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss, threads
+        )
+        record("x-update", _objective(s, G, X, hp, loss))
+
+        maps, w_iters = map_sweep(X, maps)
+        G, P, znorm = stacks(maps)
+        J = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
+        record("W-update", J)
+        inner.append((int(np.max(x_iters)), int(w_iters)))
+
+        if abs(J - J_prev) <= hp.tol_obj * max(1.0, abs(J_prev)):
+            stop_reason = "objective_tol"
+            break
+        J_prev = J
+
+    X, x_iters, s = sweep_latents(
+        G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss, threads
+    )
+    record("x-update", _objective(s, G, X, hp, loss))
+    inner.append((int(np.max(x_iters)), 0))
+
+    history = FitHistory(
+        objective_trace=tuple(trace),
+        inner_iterations=tuple(inner),
+        converged=stop_reason == "objective_tol",
+        stop_reason=stop_reason,
+    )
+    return maps, X, history
 
 
 def _winsorize_columns(Z: np.ndarray, n_scales: float = 3.0) -> np.ndarray:
@@ -481,7 +538,8 @@ def fit(
     loss: str = "cauchy",
     threads: int = 1,
 ):
-    """Alternate latent and view-map sweeps until the objective stalls.
+    """Fit the linear model: initialization and shape checks around one
+    call of `alternate` with explicit-map stacks and `fit_view_map`.
 
     Returns (IntactModel, IntactEmbedding, FitHistory). A final latent
     sweep runs after the outer loop so the stored embedding is the exact
@@ -489,11 +547,12 @@ def fit(
     out-of-sample embedding of a training example reproduce its stored
     coordinate. `loss="l2"` swaps in unit weights and squared error,
     giving the alternating ridge baseline with identical structure.
+    `threads` splits the latent sweep's rows across worker threads.
     """
     if loss not in ("cauchy", "l2"):
         raise ValueError(f"unknown loss {loss!r}")
     views = dataset.views
-    m, n, d = dataset.m, dataset.n, hp.d
+    n, d = dataset.n, hp.d
     if init is not None:
         model0, X0 = init
         W = [np.array(Wv, dtype=np.float64) for Wv in model0.W]
@@ -509,70 +568,16 @@ def fit(
     if X.shape != (n, d):
         raise ShapeMismatch(f"initial embedding shape {X.shape}, expected ({n}, {d})")
 
-    J_prev = alternation_objective(views, W, X, hp, loss)
-    trace = []
-    inner = []
-    converged = False
-    stop_reason = "max_iter"
-    last = J_prev
-
-    def run_x_sweep(X_cur):
-        G, P, znorm = _view_stacks(views, W)
-        return sweep_latents(
-            G, P, znorm, X_cur, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss, threads
-        )
-
-    def run_w_sweep(X_cur):
-        def one(v):
-            return fit_view_map(
-                views[v], X_cur, W[v], hp.c, hp.C1, hp.tol_x, hp.max_inner, loss
-            )
-
-        if threads > 1 and m > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, m)) as pool:
-                results = list(pool.map(one, range(m)))
-        else:
-            results = [one(v) for v in range(m)]
-        return [r[0] for r in results], max(r[1] for r in results)
-
-    for _ in range(hp.max_outer):
-        X, x_iters, _ = run_x_sweep(X)
-        J1 = alternation_objective(views, W, X, hp, loss)
-        _audit_descent(last, J1)
-        trace.append(("x-update", J1))
-        last = J1
-
-        W, w_iters = run_w_sweep(X)
-        J2 = alternation_objective(views, W, X, hp, loss)
-        _audit_descent(last, J2)
-        trace.append(("W-update", J2))
-        last = J2
-        inner.append((int(np.max(x_iters)), int(w_iters)))
-
-        if abs(J2 - J_prev) <= hp.tol_obj * max(1.0, abs(J_prev)):
-            converged = True
-            stop_reason = "objective_tol"
-            break
-        J_prev = J2
-
-    # final latent refresh against the final maps (keeps the stored
-    # embedding consistent with out-of-sample inference)
-    X, x_iters, _ = run_x_sweep(X)
-    J3 = alternation_objective(views, W, X, hp, loss)
-    _audit_descent(last, J3)
-    trace.append(("x-update", J3))
-    inner.append((int(np.max(x_iters)), 0))
-
+    W, X, history = alternate(
+        W, X,
+        lambda W: _view_stacks(views, W),
+        _map_sweep(fit_view_map, views, hp, loss),
+        hp, loss, threads,
+    )
     model = IntactModel(
         mode="linear",
         W=tuple(freeze_array(Wv) for Wv in W),
         kernel_part=None,
         hyperparams=hp,
-    )
-    history = FitHistory(
-        objective_trace=tuple(trace),
-        inner_iterations=tuple(inner),
-        converged=converged,
-        stop_reason=stop_reason,
     )
     return model, IntactEmbedding(X), history

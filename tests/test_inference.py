@@ -190,3 +190,22 @@ def test_view_losses_and_convexity_helper():
     assert losses.shape == (ds.m,)
     assert np.all(losses >= 0)
     assert local_convexity_check(z, model, emb.X[0], radius=1e-3)
+
+
+def test_probe_linear_kernel_model_matches_linear_model():
+    # a linear-kernel model is the linear model in atom coordinates, so the
+    # probe must warm-start and check convexity the same way in both modes
+    from intact import KernelSpec, kernel_fit
+
+    _, _, Zs = gen_planted_linear(20, [3, 3], 2, seed=10, noise_sigma=0.05)
+    ds = validate_dataset(Zs)
+    hp = Hyperparams(d=2, C1=1e-3, C2=0.1, seed=10)
+    m_lin, _, _ = fit(ds, hp)
+    m_ker, _, _ = kernel_fit(ds, hp, KernelSpec("linear"))
+    z = [Z[0] for Z in Zs]
+    r_lin, r_ker = (
+        stability_probe(z, model, hp, tau=1.0, view_index=0, coord_index=0)
+        for model in (m_lin, m_ker)
+    )
+    assert r_ker.local_convex == r_lin.local_convex
+    assert abs(r_ker.measured_deviation - r_lin.measured_deviation) < 1e-6
