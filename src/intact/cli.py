@@ -207,6 +207,12 @@ def cmd_train(cfg: dict, args) -> int:
         f"trained {mode} model: objective {final:.6g}, "
         f"{len(hist.objective_trace)} half-steps, stop={hist.stop_reason}"
     )
+    if hist.stop_reason == "max_iter":
+        print(
+            f"warning: fit stopped at max_iter ({hp.max_outer} outer "
+            "iterations) before the objective met tol_obj",
+            file=sys.stderr,
+        )
     if not hist.monotone_within(1e-9):
         raise IntactError("history is not monotone within tolerance")
     return 0

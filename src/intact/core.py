@@ -221,9 +221,11 @@ class FitHistory:
     `objective_trace` holds ("x-update" | "W-update", value) pairs for
     every half step of the alternation; descent theory guarantees the
     values are non-increasing up to round-off, which `monotone_within`
-    audits. `stop_reason` is "objective_tol" when an outer iteration
-    changed the objective by at most tol_obj (relative), and "max_iter"
-    when max_outer iterations ran out first.
+    audits. From the second outer iteration on, an "x-update" value also
+    includes the decrease of the gauge step that precedes the latent sweep
+    (`optimizer.balance_gauge`). `stop_reason` is "objective_tol" when an
+    outer iteration changed the objective by at most tol_obj (relative),
+    and "max_iter" when max_outer iterations ran out first.
     """
 
     objective_trace: tuple

@@ -13,7 +13,6 @@ from .kernel import kernel_embed_many
 from .optimizer import (
     _single_example_stacks,
     _example_stacks,
-    objective_x,
     residual_sq_from_stacks,
     solve_x,
     sweep_latents,
@@ -117,16 +116,20 @@ def local_convexity_check(
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=np.float64).reshape(-1)
     d = center.shape[0]
-    for _ in range(n_samples):
-        a = center + radius * rng.normal(size=d)
-        b = center + radius * rng.normal(size=d)
-        ja = objective_x(z_views, model, a)
-        jb = objective_x(z_views, model, b)
-        jm = objective_x(z_views, model, 0.5 * (a + b))
-        bound = 0.5 * (ja + jb)
-        if jm > bound + 1e-10 * max(1.0, abs(bound)):
-            return False
-    return True
+    # row k holds a_k then b_k: the order of drawing one vector at a time
+    ab = center + radius * rng.normal(size=(n_samples, 2, d))
+    a, b = ab[:, 0], ab[:, 1]
+    X = np.vstack([a, b, 0.5 * (a + b)])
+    G, P, znorm = _single_example_stacks(z_views, model)
+    m, n = len(G), len(X)
+    s = residual_sq_from_stacks(
+        G, np.broadcast_to(P, (m, n, d)), np.broadcast_to(znorm, (m, n)), X
+    )
+    hp = model.hyperparams
+    J = rho_sq(s, hp.c).mean(axis=0) + hp.C2 * np.einsum("ij,ij->i", X, X)
+    ja, jb, jm = np.split(J, 3)
+    bound = 0.5 * (ja + jb)
+    return not np.any(jm > bound + 1e-10 * np.maximum(1.0, np.abs(bound)))
 
 
 def stability_probe(

@@ -12,6 +12,14 @@ system. Both sweeps decrease the alternation objective
 whose per-example and per-view restrictions are exactly the subproblems
 the sweeps minimize, so the recorded trace is monotone by construction.
 
+The data term depends on X and the maps only through the products
+W_v x_i, so it does not change under X -> X T, W_v -> W_v T^-T; plain
+alternation creeps along that direction. Every outer iteration after
+the first therefore opens with a gauge step (`balance_gauge`) that
+minimizes the two penalties over T in closed form, the variational form
+of the nuclear norm. It is exact block descent, and its decrease is part
+of the "x-update" half step that follows it.
+
 The driver sees a model only through its per-view stacks G_v = W_v^T W_v,
 P_v = Z_v W_v and the squared row norms of Z_v. Residuals, weights, the
 objective and the map penalty ||W_v||_F^2 = trace(G_v) all follow from
@@ -45,6 +53,10 @@ from .estimators import rho_sq, weight_sq
 # A half step may exceed exact descent only through round-off; anything
 # beyond this relative slack is treated as a bug.
 DIVERGENCE_REL_TOL = 1e-6
+
+# The gauge step skips itself when an SPD matrix it factors has an
+# eigenvalue ratio at or below this.
+GAUGE_RCOND = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +313,7 @@ def solve_x(z_views, model: IntactModel, x0, hp: Hyperparams = None) -> Subprobl
     reached. The recorded objective trace is non-increasing.
     """
     hp = hp or model.hyperparams
-    c, C2 = model.hyperparams.c, model.hyperparams.C2
+    c, C2 = hp.c, hp.C2
     stacks = _single_example_stacks(z_views, model)
 
     def residuals(x):
@@ -418,6 +430,45 @@ def _audit_descent(prev: float, new: float):
         )
 
 
+def _sym_sqrt(S):
+    """Square root and inverse square root of a symmetric matrix, or
+    None when it is not numerically positive definite."""
+    w, U = np.linalg.eigh(0.5 * (S + S.T))
+    if w[-1] <= 0.0 or w[0] <= GAUGE_RCOND * w[-1]:
+        return None
+    r = np.sqrt(w)
+    return (U * r) @ U.T, (U / r) @ U.T
+
+
+def balance_gauge(maps, X, G, P, hp: Hyperparams):
+    """Closed-form minimization of the two penalties over the gauge
+    X -> X T, map_v -> map_v T^-1 (T symmetric), which leaves every
+    residual unchanged.
+
+    With A = sum_v G_v, B = X^T X, a = C1/m and b = C2/n, the minimizer
+    is T = S^(1/2), S = sqrt(a/b) B^-1/2 (B^1/2 A B^1/2)^1/2 B^-1/2, and
+    the penalties fall to 2 sqrt(ab) trace((B^1/2 A B^1/2)^1/2). Returns
+    (maps, X, G, P) transformed, or the inputs unchanged when C1 or C2
+    is zero or B, B^1/2 A B^1/2 or S is numerically singular.
+    """
+    a, b = hp.C1 / G.shape[0], hp.C2 / X.shape[0]
+    skip = maps, X, G, P
+    if a <= 0.0 or b <= 0.0:
+        return skip
+    roots = _sym_sqrt(X.T @ X)
+    if roots is None:
+        return skip
+    B_half, B_inv_half = roots
+    roots = _sym_sqrt(B_half @ G.sum(axis=0) @ B_half)
+    if roots is None:
+        return skip
+    roots = _sym_sqrt(np.sqrt(a / b) * B_inv_half @ roots[0] @ B_inv_half)
+    if roots is None:
+        return skip
+    T, T_inv = roots
+    return [M @ T_inv for M in maps], X @ T, T_inv @ G @ T_inv, P @ T_inv
+
+
 def _map_sweep(solve_map, view_data, hp: Hyperparams, loss: str):
     """A map sweep for `alternate`: each view's map in turn solved by
     solve_map(data_v, X, map_v, c, C1, tol_x, max_inner, loss)."""
@@ -437,10 +488,12 @@ def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy", thread
 
     `stacks(maps)` returns the (G, P, znorm) stacks of the maps and
     `map_sweep(X, maps)` returns (new maps, most inner iterations of any
-    view); nothing else depends on the mode. Each half step's objective is
-    audited for descent and recorded. A final latent sweep runs after the
-    outer loop so the stored latents are the exact per-example minimizers
-    for the returned maps. Returns (maps, X, FitHistory).
+    view); nothing else depends on the mode. Every outer iteration but the
+    first opens with `balance_gauge`, whose decrease is recorded with the
+    latent sweep that follows it. Each half step's objective is audited
+    for descent and recorded. A final latent sweep runs after the outer
+    loop so the stored latents are the exact per-example minimizers for
+    the returned maps. Returns (maps, X, FitHistory).
     """
     G, P, znorm = stacks(maps)
     J_prev = J0 = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
@@ -452,7 +505,9 @@ def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy", thread
         _audit_descent(trace[-1][1] if trace else J0, J)
         trace.append((kind, J))
 
-    for _ in range(hp.max_outer):
+    for it in range(hp.max_outer):
+        if it > 0:
+            maps, X, G, P = balance_gauge(maps, X, G, P, hp)
         X, x_iters, s = sweep_latents(
             G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss, threads
         )

@@ -1,4 +1,14 @@
+import os
+from pathlib import Path
+
 from hypothesis import HealthCheck, settings
+
+# tests that start `python -m intact` in a subprocess need the package
+# importable from a checkout without an install
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 settings.register_profile(
     "suite",

@@ -101,6 +101,24 @@ def test_train_rejects_unknown_keys(tmp_path, synth_out):
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
 
+def test_train_warns_on_max_iter_stop(tmp_path, synth_out, capsys):
+    def train(max_outer, name):
+        cfg = write_cfg(
+            tmp_path / f"{name}.json",
+            {"manifest": str(synth_out / "manifest.json"),
+             "hyperparams": {"d": 3, "seed": 5, "max_outer": max_outer}},
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        return capsys.readouterr()
+
+    cut = train(1, "cut")
+    assert "stop=max_iter" in cut.out
+    assert "warning" in cut.err and "max_iter (1 outer iterations)" in cut.err
+    done = train(60, "done")
+    assert "stop=objective_tol" in done.out
+    assert done.err == ""
+
+
 def test_model_round_trip_byte_identical(tmp_path, trained):
     model, rec = modelio.load_model(trained / "model.txt")
     copy = tmp_path / "copy.txt"

@@ -209,3 +209,51 @@ def test_probe_linear_kernel_model_matches_linear_model():
     )
     assert r_ker.local_convex == r_lin.local_convex
     assert abs(r_ker.measured_deviation - r_lin.measured_deviation) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_embed_example_and_batch_share_hyperparams(kind):
+    # both paths must solve with the c and C2 of the hyperparameters passed
+    from dataclasses import replace
+
+    from intact import KernelSpec, kernel_fit
+
+    _, _, Zs = gen_planted_linear(20, [3, 4], 2, seed=4, noise_sigma=0.1)
+    ds = validate_dataset(Zs)
+    hp0 = Hyperparams(d=2, C1=1e-3, C2=1e-3, seed=4)
+    if kind == "linear":
+        model, _, _ = fit(ds, hp0)
+    else:
+        model, _, _ = kernel_fit(ds, hp0, KernelSpec("rbf"))
+    hp = replace(model.hyperparams, C2=1.0)
+    X = embed_examples(list(ds.views), model, hp)
+    for i in range(5):
+        x = embed_example([Z[i] for Z in ds.views], model, hp)
+        assert np.max(np.abs(x - X[i])) < 1e-8
+
+
+def test_convexity_check_matches_pointwise_objective():
+    # the batched audit draws a, b per sample exactly as one-at-a-time
+    # objective_x evaluations would and reaches the same verdict
+    from intact import objective_x
+
+    def reference(z, model, center, radius, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(16):
+            a = center + radius * rng.normal(size=center.shape[0])
+            b = center + radius * rng.normal(size=center.shape[0])
+            ja, jb = objective_x(z, model, a), objective_x(z, model, b)
+            bound = 0.5 * (ja + jb)
+            if objective_x(z, model, 0.5 * (a + b)) > bound + 1e-10 * max(1.0, abs(bound)):
+                return False
+        return True
+
+    ds, hp, model, emb = trained_model(seed=3)
+    verdicts = set()
+    for i in range(6):
+        z = [Z[i] for Z in ds.views]
+        for radius in (1e-3, 3.0, 30.0):
+            got = local_convexity_check(z, model, emb.X[i], radius, seed=i)
+            assert got == reference(z, model, emb.X[i], radius, seed=i)
+            verdicts.add(got)
+    assert verdicts == {True, False}
