@@ -36,6 +36,13 @@ class Hyperparams:
     features; with unit-variance columns the default c=1 places the loss
     knee at one standard deviation of residual. C1 weighs the view-map
     penalty, C2 the latent penalty.
+
+    An outer iteration ends the fit when it changes the objective by at
+    most tol_obj relative to max(1, |objective|). An inner solve stops
+    when its iterate (a latent point, a view map or an atom matrix) moves
+    by at most tol_x in Euclidean (Frobenius) norm: an absolute change in
+    the iterate's own units, not scaled by its size. max_outer and
+    max_inner cap the two loops.
     """
 
     d: int

@@ -8,8 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hyperparams, IntactModel, as_matrix, validate_dataset
-from .errors import EmptyTrainingSet, RankDeficient, ShapeMismatch
+from .errors import EmptyTrainingSet, NonFiniteInput, RankDeficient, ShapeMismatch
 from .optimizer import _model_residual_sq, data_term, fit
+
+# Cells of the largest array k-NN holds per block: test rows x k x k in
+# the vote, tied rows x n_train when ties are resolved by brute force.
+_KNN_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +69,17 @@ def align_to_truth(X_est, X_true) -> AlignmentScore:
 def knn_classify(train_X, train_labels, test_X, k: int = 3, test_labels=None):
     """Majority vote among the k Euclidean-nearest training rows.
 
-    Vote ties break by smallest summed distance to the tied label's
-    neighbors, then by lowest label identifier. Returns (predictions,
-    accuracy) where accuracy is None without test labels.
+    The neighbours of a test row are the k training rows with the smallest
+    Euclidean distance; among rows tied at the k-th distance, the lower
+    training index wins. The vote goes to the label with the most
+    neighbours, then to the label whose neighbours have the smaller summed
+    distance (added nearest first), then to the lowest label. Returns
+    (predictions, accuracy) where accuracy is None without test labels.
+
+    A k-d tree finds k + 1 neighbours of each test row; only rows whose
+    k-th and (k+1)-th distances are equal are resolved by brute force.
+    Test rows are processed in blocks, so memory stays bounded by the
+    block size rather than n_test x n_train.
     """
     train_X = np.atleast_2d(np.asarray(train_X, dtype=np.float64))
     test_X = np.atleast_2d(np.asarray(test_X, dtype=np.float64))
@@ -80,33 +92,75 @@ def knn_classify(train_X, train_labels, test_X, k: int = 3, test_labels=None):
         raise ValueError(f"k must be in [1, {train_X.shape[0]}], got {k}")
     if train_X.shape[1] != test_X.shape[1]:
         raise ShapeMismatch("train and test dimensionality differ")
+    if not (np.all(np.isfinite(train_X)) and np.all(np.isfinite(test_X))):
+        raise NonFiniteInput("k-NN inputs contain NaN or infinite entries")
 
-    d2 = (
-        np.einsum("ij,ij->i", test_X, test_X)[:, None]
-        + np.einsum("ij,ij->i", train_X, train_X)[None, :]
-        - 2.0 * test_X @ train_X.T
-    )
-    d2 = np.maximum(d2, 0.0)
-    preds = []
-    for row in d2:
-        order = np.argsort(row, kind="stable")[:k]
-        neigh_labels = labels[order]
-        neigh_d = np.sqrt(row[order])
-        uniq = np.unique(neigh_labels)
-        counts = np.array([(neigh_labels == u).sum() for u in uniq])
-        best = uniq[counts == counts.max()]
-        if len(best) > 1:
-            sums = np.array(
-                [neigh_d[neigh_labels == u].sum() for u in best], dtype=np.float64
-            )
-            best = best[sums == sums.min()]
-        preds.append(np.sort(best)[0])
-    preds = np.asarray(preds)
+    # Imported here rather than at module level: importing scipy.spatial
+    # takes about 0.3 s, which every process that imports intact would
+    # pay, and most never classify.
+    from scipy.spatial import cKDTree
+
+    uniq, codes = np.unique(labels, return_inverse=True)
+    tree = cKDTree(train_X)
+    n_query = min(k + 1, train_X.shape[0])
+    block = max(1, _KNN_BLOCK_CELLS // (k * k))
+    winner = np.empty(test_X.shape[0], dtype=np.intp)
+    for start in range(0, test_X.shape[0], block):
+        rows = test_X[start:start + block]
+        dist, idx = tree.query(rows, k=n_query)
+        dist = dist.reshape(len(rows), n_query)
+        idx = idx.reshape(len(rows), n_query)
+        tied = np.flatnonzero(dist[:, k - 1] == dist[:, -1]) if n_query > k else []
+        dist, idx = dist[:, :k], idx[:, :k]
+        if len(tied):
+            dist[tied], idx[tied] = _exact_neighbours(train_X, rows[tied], k)
+        winner[start:start + block] = _vote(codes[idx], dist)
+    preds = uniq[winner]
     accuracy = None
     if test_labels is not None:
         test_labels = np.asarray(test_labels)
         accuracy = float(np.mean(preds == test_labels))
     return preds, accuracy
+
+
+def _exact_neighbours(train_X, rows, k: int):
+    """Distances and indices (each len(rows) x k, in order of distance) of
+    the k nearest training rows of each row by brute force, ties at the
+    k-th distance going to the lower index."""
+    from scipy.spatial.distance import cdist
+
+    dist = np.empty((len(rows), k))
+    idx = np.empty((len(rows), k), dtype=np.intp)
+    step = max(1, _KNN_BLOCK_CELLS // train_X.shape[0])
+    for start in range(0, len(rows), step):
+        d2 = cdist(rows[start:start + step], train_X, "sqeuclidean")
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        inside = d2 < kth
+        at_kth = d2 == kth
+        room = k - inside.sum(axis=1, keepdims=True)
+        inside |= at_kth & (np.cumsum(at_kth, axis=1) <= room)
+        chosen = np.nonzero(inside)[1].reshape(-1, k)
+        near = np.sqrt(np.take_along_axis(d2, chosen, axis=1))
+        order = np.argsort(near, axis=1, kind="stable")
+        idx[start:start + step] = np.take_along_axis(chosen, order, axis=1)
+        dist[start:start + step] = np.take_along_axis(near, order, axis=1)
+    return dist, idx
+
+
+def _vote(codes, dist) -> np.ndarray:
+    """Winning label code of each row of neighbour label codes and
+    distances (rows x k), neighbours ordered nearest first."""
+    same = codes[:, :, None] == codes[:, None, :]
+    count = same.sum(axis=2)
+    # One neighbour at a time, nearest first, so each label's sum rounds as
+    # its own distances added in that order do.
+    summed = np.zeros(dist.shape)
+    for j in range(dist.shape[1]):
+        summed += np.where(same[:, :, j], dist[:, j, None], 0.0)
+    cand = count == count.max(axis=1, keepdims=True)
+    summed = np.where(cand, summed, np.inf)
+    cand &= summed == summed.min(axis=1, keepdims=True)
+    return np.where(cand, codes, np.iinfo(np.intp).max).min(axis=1)
 
 
 @dataclass(frozen=True)

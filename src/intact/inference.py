@@ -62,11 +62,13 @@ def embed_examples(view_rows, model: IntactModel, hp: Hyperparams = None, thread
     return X
 
 
-def view_losses(z_views, model: IntactModel, x) -> np.ndarray:
-    """Per-view Cauchy losses log(1 + ||z^v - W_v x||^2 / c^2)."""
+def view_losses(z_views, model: IntactModel, x, hp: Hyperparams = None) -> np.ndarray:
+    """Per-view Cauchy losses log(1 + ||z^v - W_v x||^2 / c^2), with c from
+    hp (default: the model's hyperparameters)."""
+    hp = hp or model.hyperparams
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     s = residual_sq_from_stacks(*_single_example_stacks(z_views, model), x)[:, 0]
-    return rho_sq(s, model.hyperparams.c)
+    return rho_sq(s, hp.c)
 
 
 def map_spectral_norms(model: IntactModel) -> np.ndarray:
@@ -110,9 +112,11 @@ def local_convexity_check(
     radius: float,
     n_samples: int = 16,
     seed: int = 0,
+    hp: Hyperparams = None,
 ) -> bool:
-    """Sampled midpoint-convexity audit of the per-example objective in a
-    ball around `center`; the stability bound's derivation assumes it."""
+    """Sampled midpoint-convexity audit of the per-example objective, with
+    c and C2 from hp (default: the model's hyperparameters), in a ball
+    around `center`; the stability bound's derivation assumes it."""
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=np.float64).reshape(-1)
     d = center.shape[0]
@@ -125,7 +129,7 @@ def local_convexity_check(
     s = residual_sq_from_stacks(
         G, np.broadcast_to(P, (m, n, d)), np.broadcast_to(znorm, (m, n)), X
     )
-    hp = model.hyperparams
+    hp = hp or model.hyperparams
     J = rho_sq(s, hp.c).mean(axis=0) + hp.C2 * np.einsum("ij,ij->i", X, X)
     ja, jb, jm = np.split(J, 3)
     bound = 0.5 * (ja + jb)
@@ -145,8 +149,10 @@ def stability_probe(
     """Embed an example and its perturbed copy and compare the summed
     per-view loss deviation against the stability bound.
 
-    The perturbed embedding starts from the unperturbed solution, matching
-    the local neighborhood the bound's derivation works in. A sampled
+    The solves, the measured losses, the convexity check and the bound all
+    use hp (default: the model's hyperparameters). The perturbed embedding
+    starts from the unperturbed solution, matching the local neighborhood
+    the bound's derivation works in. A sampled
     local-convexity check is attached so bound violations can be told
     apart from assumption failures.
     """
@@ -165,7 +171,7 @@ def stability_probe(
     # tau = 0 poses the identical problem; re-solving would only add noise
     x_hat = x if tau == 0.0 else solve_x(z_hat, model, x, hp).solution
 
-    losses = view_losses(zs, model, x) - view_losses(z_hat, model, x_hat)
+    losses = view_losses(zs, model, x, hp) - view_losses(z_hat, model, x_hat, hp)
     measured = float(np.sum(np.abs(losses)))
     bound = stability_bound(tau, model, hp)
     radius = max(float(np.linalg.norm(x_hat - x)), abs(tau), 1e-6)
@@ -177,6 +183,6 @@ def stability_probe(
         beta_bound=bound,
         holds=measured <= bound + 1e-12,
         local_convex=local_convexity_check(
-            zs, model, x, radius, n_samples=convexity_samples, seed=seed
+            zs, model, x, radius, n_samples=convexity_samples, seed=seed, hp=hp
         ),
     )

@@ -13,31 +13,40 @@ import json
 import numpy as np
 
 from .core import Hyperparams, IntactModel, StandardizeRecord, freeze_array
-from .errors import ParseError
+from .errors import GramNotPSD, ParseError
 from .kernel import KernelModel, KernelSpec, gram
 
 MODEL_MAGIC = "intact-model-v1"
+
+# Hyperparameter lines of a model file after view_dims, in file order.
+_HYPERPARAM_LINES = (
+    ("c", float), ("C1", float), ("C2", float), ("max_outer", int),
+    ("max_inner", int), ("tol_obj", float), ("tol_x", float), ("seed", int),
+)
 
 
 def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def _join_row(row) -> str:
-    return ",".join(fmt_float(v) for v in row)
-
-
 # ---------------------------------------------------------------------------
 # CSV matrices
 # ---------------------------------------------------------------------------
 
+# Rows formatted and written per write call by save_matrix_csv.
+_CSV_BLOCK_ROWS = 1024
+
+
 def save_matrix_csv(path, M, header: str = None):
     M = np.atleast_2d(np.asarray(M, dtype=np.float64))
+    # "%.17g" formats a double exactly as fmt_float does
+    row = ",".join(["%.17g"] * M.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
-        for row in M:
-            fh.write(_join_row(row) + "\n")
+        for start in range(0, M.shape[0], _CSV_BLOCK_ROWS):
+            block = M[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def save_view_csv(path, Z, view_index: int):
@@ -46,31 +55,54 @@ def save_view_csv(path, Z, view_index: int):
 
 
 def load_matrix_csv(path) -> np.ndarray:
+    """Matrix from text rows of numbers separated by commas and/or
+    whitespace. Blank lines and lines starting with '#' are skipped, every
+    token is read as Python's float() reads it, and an empty file gives a
+    (0, 0) array. Raises ParseError naming the first line that is not a
+    row of numbers as wide as the first row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    data = [text for text in map(str.strip, lines) if text and text[0] != "#"]
+    if not data:
+        return np.zeros((0, 0))
+    rows = "\n".join(data).replace(",", " ").split("\n")
+    M = None
+    # NumPy warns when no row holds a number; such files, ragged ones, ones
+    # with tokens float() accepts and NumPy does not (1_000) and ones with
+    # rows of bare commas (NumPy skips them) are left to the line loop.
+    if rows[0].split():
+        try:
+            M = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if M is None or M.shape[0] != len(data):
+        M = _parse_csv_lines(path, lines)
+    return M
+
+
+def _parse_csv_lines(path, lines) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.replace(",", " ").split()
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}: line {lineno}: could not parse numbers",
-                    line_number=lineno,
-                ) from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(row)}",
-                    line_number=lineno,
-                )
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, 0))
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.replace(",", " ").split()
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ParseError(
+                f"{path}: line {lineno}: could not parse numbers",
+                line_number=lineno,
+            ) from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {width} columns, got {len(row)}",
+                line_number=lineno,
+            )
+        rows.append(row)
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -151,12 +183,24 @@ class _Cursor:
             self.fail(f"expected one value after {keyword!r}")
         return self.numbers(parts, kind)[0]
 
-    def block(self, keyword: str) -> tuple:
-        """(rows, cols) from a `keyword index rows cols` block header."""
+    def block(self, keyword: str, index: int, rows: int, cols: int) -> np.ndarray:
+        """Matrix of a `keyword index rows cols` block whose header must
+        name the index and shape the file header implies."""
         parts = self.expect(keyword)
         if len(parts) != 3:
             self.fail(f"expected '{keyword} index rows cols'")
-        return tuple(self.numbers(parts[1:], int))
+        expected = [index, rows, cols]
+        if self.numbers(parts, int) != expected:
+            self.fail(f"expected '{keyword} {index} {rows} {cols}', got {' '.join(parts)!r}")
+        return self.matrix(rows, cols)
+
+    def hyperparams(self, fields: dict) -> Hyperparams:
+        """Hyperparams of the fields read so far; a rejection names the
+        line just read, so fields are checked as each one is read."""
+        try:
+            return Hyperparams(**fields)
+        except ValueError as exc:
+            self.fail(f"invalid hyperparameter: {exc}")
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         out = np.empty((rows, cols))
@@ -210,7 +254,9 @@ def load_model(path):
     """Read a model file back into (IntactModel, StandardizeRecord or None).
 
     Kernel-mode Gram caches are recomputed from the retained training
-    views and stored gammas.
+    views and stored gammas. A malformed number, a rejected hyperparameter
+    and a block whose index or shape disagrees with the header (m, d,
+    n_train, view_dims) all raise ParseError with the line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cur = _Cursor(fh.readlines(), path)
@@ -218,25 +264,24 @@ def load_model(path):
     if magic != MODEL_MAGIC:
         raise ParseError(f"{path}: not a model file (bad magic {magic!r})", 1)
     mode = cur.scalar("mode", str)
+    if mode not in ("linear", "kernel"):
+        cur.fail(f"unknown mode {mode!r}")
     m = cur.scalar("m", int)
-    d = cur.scalar("d", int)
+    fields = {"d": cur.scalar("d", int)}
+    d = cur.hyperparams(fields).d
     if mode == "kernel":
-        cur.scalar("n_train", int)
+        n_train = cur.scalar("n_train", int)
+        if n_train < 1:
+            cur.fail(f"n_train must be >= 1, got {n_train}")
     view_dims = cur.numbers(cur.expect("view_dims"), int)
-    if len(view_dims) != m:
-        cur.fail(f"view_dims lists {len(view_dims)} views, expected {m}")
-    hp = Hyperparams(
-        d=d,
-        c=cur.scalar("c"),
-        C1=cur.scalar("C1"),
-        C2=cur.scalar("C2"),
-        max_outer=cur.scalar("max_outer", int),
-        max_inner=cur.scalar("max_inner", int),
-        tol_obj=cur.scalar("tol_obj"),
-        tol_x=cur.scalar("tol_x"),
-        seed=cur.scalar("seed", int),
-    )
+    if len(view_dims) != m or min(view_dims, default=0) < 1:
+        cur.fail(f"view_dims must list m = {m} positive sizes")
+    for name, kind in _HYPERPARAM_LINES:
+        fields[name] = cur.scalar(name, kind)
+        hp = cur.hyperparams(fields)
     standardized = cur.scalar("standardized", int)
+    if standardized not in (0, 1):
+        cur.fail(f"standardized must be 0 or 1, got {standardized}")
     record = None
     if standardized:
         means, scales = [], []
@@ -245,26 +290,37 @@ def load_model(path):
                 parts = cur.expect(keyword)
                 if cur.numbers(parts[:1], int) != [v]:
                     cur.fail("standardization record out of order")
+                if len(parts) - 1 != view_dims[v]:
+                    cur.fail(f"expected {view_dims[v]} values for view {v}")
                 out.append(freeze_array(cur.numbers(parts[1:])))
         record = StandardizeRecord(means=tuple(means), scales=tuple(scales))
 
     if mode == "linear":
-        Ws = [freeze_array(cur.matrix(*cur.block("W"))) for _ in range(m)]
+        Ws = [freeze_array(cur.block("W", v, view_dims[v], d)) for v in range(m)]
         model = IntactModel(mode="linear", W=tuple(Ws), kernel_part=None, hyperparams=hp)
     else:
         kind = cur.scalar("kernel", str)
+        if kind not in ("linear", "rbf"):
+            cur.fail(f"unknown kernel {kind!r}")
         gammas = []
         for v in range(m):
             parts = cur.expect("gamma")
-            if len(parts) != 2:
-                cur.fail("expected 'gamma index value'")
-            gammas.append(None if parts[1] == "none" else cur.numbers(parts[1:])[0])
+            if len(parts) != 2 or cur.numbers(parts[:1], int) != [v]:
+                cur.fail(f"expected 'gamma {v} value'")
+            g = None if parts[1] == "none" else cur.numbers(parts[1:])[0]
+            if kind == "rbf" and not (g is not None and 0.0 < g < np.inf):
+                cur.fail(f"rbf gamma must be a positive finite number, got {parts[1]!r}")
+            gammas.append(g)
         As, Zs, grams = [], [], []
         for v in range(m):
-            As.append(freeze_array(cur.matrix(*cur.block("A"))))
-            Zv = freeze_array(cur.matrix(*cur.block("Z")))
+            As.append(freeze_array(cur.block("A", v, n_train, d)))
+            Zv = freeze_array(cur.block("Z", v, n_train, view_dims[v]))
             Zs.append(Zv)
-            grams.append(freeze_array(gram(Zv, KernelSpec(kind, gammas[v]))))
+            try:
+                K = gram(Zv, KernelSpec(kind, gammas[v]))
+            except (ValueError, GramNotPSD, np.linalg.LinAlgError) as exc:
+                cur.fail(f"view {v}: cannot rebuild the Gram matrix: {exc}")
+            grams.append(freeze_array(K))
         km = KernelModel(
             A=tuple(As),
             training_views=tuple(Zs),

@@ -299,3 +299,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "3 views" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where it is used (k-NN), not by `import intact`
+    code = (
+        "import sys, intact.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

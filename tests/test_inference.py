@@ -257,3 +257,38 @@ def test_convexity_check_matches_pointwise_objective():
             assert got == reference(z, model, emb.X[i], radius, seed=i)
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_probe_measures_with_its_own_hyperparams():
+    # the model was fitted at c = 1; a probe at c = 0.1 must measure the
+    # per-view losses and check convexity at c = 0.1, as its bound does
+    from dataclasses import replace
+
+    ds, hp, model, _ = trained_model(seed=5)
+    probe_hp = replace(hp, c=0.1)
+    tau = 0.05
+    z = [Z[0] for Z in ds.views]
+    rep = stability_probe(z, model, probe_hp, tau=tau, view_index=1, coord_index=2)
+
+    x = embed_example(z, model, probe_hp)
+    z_hat = [zv.copy() for zv in z]
+    z_hat[1][2] += tau
+    x_hat = embed_example(z_hat, model, probe_hp, x0=x)
+
+    def losses(zs, x):
+        return np.array([
+            math.log1p(float(np.sum((zv - Wv @ x) ** 2)) / probe_hp.c**2)
+            for zv, Wv in zip(zs, model.W)
+        ])
+
+    want = float(np.sum(np.abs(losses(z, x) - losses(z_hat, x_hat))))
+    assert rep.measured_deviation == pytest.approx(want, rel=1e-9, abs=1e-15)
+    assert rep.beta_bound == stability_bound(tau, model, probe_hp)
+
+    refit = make_model(model.W, probe_hp)
+    verdicts = []
+    for radius in (1e-3, 0.1, 1.0, 30.0):
+        got = local_convexity_check(z, model, x, radius, hp=probe_hp)
+        assert got == local_convexity_check(z, refit, x, radius)
+        verdicts.append((got, local_convexity_check(z, model, x, radius)))
+    assert any(mine != default for mine, default in verdicts)
