@@ -7,6 +7,7 @@ read-only) and safe to share across parallel workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,10 +40,12 @@ class Hyperparams:
 
     An outer iteration ends the fit when it changes the objective by at
     most tol_obj relative to max(1, |objective|). An inner solve stops
-    when its iterate (a latent point, a view map or an atom matrix) moves
-    by at most tol_x in Euclidean (Frobenius) norm: an absolute change in
-    the iterate's own units, not scaled by its size. max_outer and
-    max_inner cap the two loops.
+    when its iterate (a latent point or a view map) moves by at most tol_x
+    in Euclidean (Frobenius) norm: an absolute change in the iterate's own
+    units, not scaled by its size. A kernel map is measured in feature
+    space, sqrt(trace(dA^T K dA)) for an atom change dA. max_outer and
+    max_inner cap the two loops. c, C1, C2 and the tolerances must be
+    finite.
     """
 
     d: int
@@ -56,6 +59,9 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("c", "C1", "C2", "tol_obj", "tol_x"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c <= 0:
             raise NonPositiveScale(f"c must be > 0, got {self.c}")
         if self.C1 < 0 or self.C2 < 0:

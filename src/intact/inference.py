@@ -9,7 +9,6 @@ import numpy as np
 from .core import Hyperparams, IntactModel
 from .errors import ZeroRegularizer
 from .estimators import rho_sq
-from .kernel import kernel_embed_many
 from .optimizer import (
     _single_example_stacks,
     _example_stacks,
@@ -49,11 +48,9 @@ def embed_example(z_new, model: IntactModel, hp: Hyperparams = None, x0=None) ->
 def embed_examples(view_rows, model: IntactModel, hp: Hyperparams = None, threads: int = 1):
     """Embed a batch of examples given as one row matrix per view.
 
-    Dispatches on model mode; rows are independent solves from zero.
+    Works in either mode; rows are independent solves from zero.
     """
     hp = hp or model.hyperparams
-    if model.mode == "kernel":
-        return kernel_embed_many(view_rows, model.kernel_part, hp, threads)
     G, P, znorm = _example_stacks(view_rows, model)
     X0 = np.zeros((znorm.shape[1], hp.d))
     X, _, _ = sweep_latents(

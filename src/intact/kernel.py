@@ -8,10 +8,14 @@ map norms reduce to Gram-matrix algebra:
                                + x_i^T A_v^T K_v A_v x_i
     ||map_v||^2 = trace(A_v^T K_v A_v)
 
-Training runs the linear fitter's alternation driver (optimizer.alternate)
-on the stacks G_v = A_v^T K_v A_v, P_v = K_v A_v and diag(K_v), with the
-atom solve `_fit_atoms` as the map sweep; with a linear kernel the
-iterates coincide with the linear model's up to round-off.
+Training is the linear fitter (`optimizer.alternate`, `fit_view_map`) on
+exact features Phi_v = U_r Lambda_r^{1/2} from one eigendecomposition of
+each Gram (eigenvalues above FEATURE_RCOND of the largest; the r = n
+Nystrom map), so K_v = Phi_v Phi_v^T and maps W_v = Phi_v^T A_v. The row
+norms are diag(K_v), and the map solver adds the per-row offset
+diag(K_v) - ||Phi_v,i||^2 to its residuals. The model stores
+A_v = U_r Lambda_r^{-1/2} W_v; with a linear kernel the iterates coincide
+with the linear model's up to round-off.
 """
 
 from __future__ import annotations
@@ -30,20 +34,24 @@ from .core import (
     freeze_array,
 )
 from .errors import GramNotPSD, NonFiniteInput, ShapeMismatch
-from .estimators import weight_sq
+from .inference import embed_examples
 from .optimizer import (
     _as_rows,
     _map_sweep,
     _objective,
-    _spd_solve,
+    _ridge_maps,
+    _view_stacks,
     alternate,
     default_init,
     residual_sq_from_stacks,
-    sweep_latents,
 )
 
 PSD_JITTER_TRIGGER = -1e-8
 PSD_REJECT = -1e-4
+
+# Gram eigenpairs at or below this fraction of the largest eigenvalue
+# carry no feature column.
+FEATURE_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,8 +68,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and self.gamma is not None and self.gamma <= 0:
-            raise ValueError("rbf gamma must be > 0")
+        if self.kind == "rbf" and self.gamma is not None and not 0 < self.gamma < np.inf:
+            raise ValueError(f"rbf gamma must be a positive finite number, got {self.gamma}")
 
 
 def median_heuristic_gamma(Z) -> float:
@@ -78,19 +86,28 @@ def median_heuristic_gamma(Z) -> float:
     return 1.0 / med
 
 
+def _psd_spectrum(K: np.ndarray, vectors: bool):
+    """Symmetrized, PSD-checked K with its ascending eigenvalues and, if
+    `vectors`, eigenvectors (else None); see `ensure_psd`."""
+    K = 0.5 * (K + K.T)
+    lam, U = np.linalg.eigh(K) if vectors else (np.linalg.eigvalsh(K), None)
+    lam_min = float(lam[0])
+    if lam_min < PSD_REJECT:
+        raise GramNotPSD(f"smallest Gram eigenvalue {lam_min:.3e}")
+    if lam_min < PSD_JITTER_TRIGGER:
+        shift = 1e-10 * float(np.mean(np.diag(K)))
+        K = K + shift * np.eye(K.shape[0])
+        lam = lam + shift
+    return K, lam, U
+
+
 def ensure_psd(K: np.ndarray) -> np.ndarray:
     """Symmetrize and check positive semidefiniteness.
 
     Round-off negativity up to the jitter trigger is absorbed by a tiny
     diagonal shift; anything below the reject threshold raises.
     """
-    K = 0.5 * (K + K.T)
-    lam_min = float(np.linalg.eigvalsh(K)[0])
-    if lam_min < PSD_REJECT:
-        raise GramNotPSD(f"smallest Gram eigenvalue {lam_min:.3e}")
-    if lam_min < PSD_JITTER_TRIGGER:
-        K = K + (1e-10 * float(np.mean(np.diag(K)))) * np.eye(K.shape[0])
-    return K
+    return _psd_spectrum(K, vectors=False)[0]
 
 
 def cross_gram(Za, Zb, kind: str, gamma: Optional[float]) -> np.ndarray:
@@ -152,7 +169,7 @@ class KernelModel:
             znorm = np.stack([np.einsum("ij,ij->i", Z, Z) for Z in rows])
         else:
             znorm = np.ones(P.shape[:2])
-        return _gram_stacks(self.A, self.gram)[0], P, znorm
+        return np.stack([A.T @ (K @ A) for A, K in zip(self.A, self.gram)]), P, znorm
 
 
 def kernel_residual_sq(i: int, v: int, x, km: KernelModel) -> float:
@@ -181,41 +198,13 @@ def kernel_w_norm_sq(v: int, km: KernelModel) -> float:
     return float(np.sum((km.gram[v] @ A) * A))
 
 
-def _gram_stacks(A_list, grams):
-    """Sweep stacks in atom coordinates: G_v = A_v^T K_v A_v, P_v = K_v A_v
-    and znorm_v = diag(K_v), so trace(G_v) is the map penalty."""
-    KA = [K @ A for A, K in zip(A_list, grams)]
-    G = np.stack([A.T @ P for A, P in zip(A_list, KA)])
-    return G, np.stack(KA), np.stack([np.diag(K) for K in grams])
-
-
 def kernel_alternation_objective(km_A, grams, X, hp: Hyperparams, loss="cauchy") -> float:
-    """The alternation objective in atom coordinates."""
-    G, P, znorm = _gram_stacks(km_A, grams)
-    return _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
-
-
-def _fit_atoms(K, X, A0, c, C1, tol_x, max_inner, loss="cauchy"):
-    """Reweighted solve of one view's atom matrix against fixed latents.
-
-    Stationarity in atom coordinates gives
-    A = diag(Q) X (X^T diag(Q) X + n C1 I)^{-1}, the same ridge form as
-    the explicit map update with feature images replaced by basis rows.
-    """
-    n, d = X.shape
-    A = A0.copy()
-    ridge = n * C1 * np.eye(d)
-    iterations = 0
-    for k in range(max_inner):
-        s = residual_sq_from_stacks(*_gram_stacks([A], [K]), X)[0]
-        QX = X * weight_sq(s, c, loss)[:, None]
-        A_new = _spd_solve(X.T @ QX + ridge, QX.T).T
-        iterations = k + 1
-        delta = float(np.linalg.norm(A_new - A))
-        A = A_new
-        if delta <= tol_x:
-            break
-    return A, iterations
+    """The alternation objective in atom coordinates, on the stacks
+    A_v^T K_v A_v, K_v A_v and diag(K_v)."""
+    P = np.stack([K @ A for A, K in zip(km_A, grams)])
+    G = np.stack([A.T @ KA for A, KA in zip(km_A, P)])
+    s = residual_sq_from_stacks(G, P, np.stack([np.diag(K) for K in grams]), X)
+    return _objective(s, G, X, hp, loss)
 
 
 def kernel_fit(
@@ -226,50 +215,51 @@ def kernel_fit(
     loss: str = "cauchy",
     threads: int = 1,
 ):
-    """Fit the kernel model: Grams, initialization and shape checks
-    around one call of the shared driver `alternate`, with Gram-matrix
-    stacks and `_fit_atoms` as the map solver.
-
-    Returns (IntactModel in kernel mode, IntactEmbedding, FitHistory).
+    """Fit the kernel model on exact kernel features (module docstring):
+    latents from `default_init`, maps by ridge against them, or atoms of
+    `init=(model, X)` mapped in as W_v = Phi_v^T A_v. Returns
+    (IntactModel in kernel mode, IntactEmbedding, FitHistory).
     """
     if loss not in ("cauchy", "l2"):
         raise ValueError(f"unknown loss {loss!r}")
     views = dataset.views
-    m, n, d = dataset.m, dataset.n, hp.d
+    n, d = dataset.n, hp.d
 
-    gammas = []
-    grams = []
+    gammas, grams, feats, to_atoms = [], [], [], []
     for Z in views:
-        if kernel.kind == "rbf":
-            g = kernel.gamma if kernel.gamma is not None else median_heuristic_gamma(Z)
-        else:
-            g = None
+        g = None if kernel.kind == "linear" else kernel.gamma or median_heuristic_gamma(Z)
+        K, lam, U = _psd_spectrum(cross_gram(Z, Z, kernel.kind, g), vectors=True)
+        keep = lam > FEATURE_RCOND * lam[-1]
+        root = np.sqrt(lam[keep])
         gammas.append(g)
-        grams.append(freeze_array(gram(Z, KernelSpec(kernel.kind, g))))
+        grams.append(freeze_array(K))
+        feats.append(U[:, keep] * root)
+        to_atoms.append(U[:, keep] / root)
+    znorm = np.stack([np.diag(K) for K in grams])
+    offsets = znorm - np.stack([np.einsum("ij,ij->i", F, F) for F in feats])
 
     if init is not None:
         model0, X0 = init
         if model0.mode != "kernel":
             raise ShapeMismatch("kernel_fit init must carry a kernel-mode model")
-        A = [np.array(Av, dtype=np.float64) for Av in model0.kernel_part.A]
+        A = [np.asarray(Av, dtype=np.float64) for Av in model0.kernel_part.A]
+        for v, Av in enumerate(A):
+            if Av.shape != (n, d):
+                raise ShapeMismatch(f"A[{v}] shape {Av.shape}, expected ({n}, {d})")
+        W = [F.T @ Av for F, Av in zip(feats, A)]
         X = np.array(as_matrix(X0), dtype=np.float64)
     else:
-        X, _ = default_init(views, hp)
-        Hw = X.T @ X + n * hp.C1 * np.eye(d)
-        A_shared = _spd_solve(Hw, X.T).T  # n x d
-        A = [A_shared.copy() for _ in range(m)]
-    for v, Av in enumerate(A):
-        if Av.shape != (n, d):
-            raise ShapeMismatch(f"A[{v}] shape {Av.shape}, expected ({n}, {d})")
+        X = default_init(views, hp)[0]
+        W = _ridge_maps(X, feats, hp.C1)
 
-    A, X, history = alternate(
-        A, X,
-        lambda A: _gram_stacks(A, grams),
-        _map_sweep(_fit_atoms, grams, hp, loss),
+    W, X, history = alternate(
+        W, X,
+        lambda W: _view_stacks(feats, W)[:2] + (znorm,),
+        _map_sweep(feats, offsets, hp, loss),
         hp, loss, threads,
     )
     km = KernelModel(
-        A=tuple(freeze_array(Av) for Av in A),
+        A=tuple(freeze_array(B @ Wv) for B, Wv in zip(to_atoms, W)),
         training_views=tuple(views),
         kernel=kernel,
         gram=tuple(grams),
@@ -280,13 +270,10 @@ def kernel_fit(
 
 
 def kernel_embed_many(z_rows, km: KernelModel, hp: Hyperparams, threads: int = 1):
-    """Embed a batch of new multi-view examples (one row matrix per view)."""
-    G, P, znorm = km.stacks(z_rows)
-    X0 = np.zeros((znorm.shape[1], G.shape[1]))
-    X, _, _ = sweep_latents(
-        G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, hp.max_inner, "cauchy", threads
-    )
-    return X
+    """Embed a batch of new multi-view examples (one row matrix per view):
+    `embed_examples` on the kernel-mode model of km and hp."""
+    model = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)
+    return embed_examples(z_rows, model, hp, threads)
 
 
 def kernel_embed(z_new, km: KernelModel, hp: Hyperparams = None) -> np.ndarray:

@@ -123,12 +123,6 @@ def load_labels(path) -> list:
     return out
 
 
-def save_labels(path, labels):
-    with open(path, "w", encoding="utf-8") as fh:
-        for lab in labels:
-            fh.write(f"{lab}\n")
-
-
 def save_json(path, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -23,10 +23,10 @@ of the "x-update" half step that follows it.
 The driver sees a model only through its per-view stacks G_v = W_v^T W_v,
 P_v = Z_v W_v and the squared row norms of Z_v. Residuals, weights, the
 objective and the map penalty ||W_v||_F^2 = trace(G_v) all follow from
-them, so kernel mode (kernel.py) runs the same driver on Gram-matrix
-stacks with its own map solver. The per-example functions (`objective_x`,
-`grad_x`, `update_x_once`, `solve_x`, `majorant_*`) are the batched
-latent step at n = 1 and accept models of either mode.
+them. Kernel mode (kernel.py) runs the driver and the one map solver,
+`fit_view_map`, on exact kernel features. The per-example functions
+(`objective_x`, `grad_x`, `update_x_once`, `solve_x`, `majorant_*`) are
+the batched latent step at n = 1 and accept models of either mode.
 `objective_full` keeps the sum-normalized regularizers for standalone use.
 """
 
@@ -382,7 +382,8 @@ def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner, loss="cauchy", threa
     n = znorm.shape[1]
     if threads <= 1 or n < 2 * threads:
         return _latent_chunk(G, P, znorm, X0, c, C2, tol_x, max_inner, loss)
-    chunks = np.array_split(np.arange(n), threads)
+    # row ranges keep every array C-ordered, so sums match threads=1
+    chunks = [slice(ix[0], ix[-1] + 1) for ix in np.array_split(np.arange(n), threads)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(
             pool.map(
@@ -398,14 +399,15 @@ def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner, loss="cauchy", threa
     return X, iters, s_final
 
 
-def fit_view_map(Z, X, W0, c, C1, tol_x, max_inner, loss="cauchy"):
-    """Reweighted-residual solve of one view map against fixed latents."""
+def fit_view_map(Z, X, W0, c, C1, tol_x, max_inner, loss="cauchy", offset=0.0):
+    """Reweighted-residual solve of one view map against fixed latents;
+    `offset` (scalar or per row) is added to every squared residual."""
     n, d = X.shape
     W = W0.copy()
     ridge = n * C1 * np.eye(d)
     iterations = 0
     for k in range(max_inner):
-        QX = X * weight_sq(_view_residual_sq(Z, X, W), c, loss)[:, None]
+        QX = X * weight_sq(_view_residual_sq(Z, X, W) + offset, c, loss)[:, None]
         W_new = _spd_solve(X.T @ QX + ridge, QX.T @ Z).T
         iterations = k + 1
         delta = float(np.linalg.norm(W_new - W))
@@ -462,14 +464,14 @@ def balance_gauge(maps, X, G, P, hp: Hyperparams):
     return [M @ T_inv for M in maps], X @ T, T_inv @ G @ T_inv, P @ T_inv
 
 
-def _map_sweep(solve_map, view_data, hp: Hyperparams, loss: str):
+def _map_sweep(views, offsets, hp: Hyperparams, loss: str):
     """A map sweep for `alternate`: each view's map in turn solved by
-    solve_map(data_v, X, map_v, c, C1, tol_x, max_inner, loss)."""
+    `fit_view_map` with that view's residual offset."""
 
     def sweep(X, maps):
         out = [
-            solve_map(D, X, M, hp.c, hp.C1, hp.tol_x, hp.max_inner, loss)
-            for D, M in zip(view_data, maps)
+            fit_view_map(Z, X, W, hp.c, hp.C1, hp.tol_x, hp.max_inner, loss, off)
+            for Z, off, W in zip(views, offsets, maps)
         ]
         return [M for M, _ in out], max(k for _, k in out)
 
@@ -574,9 +576,14 @@ def default_init(views, hp: Hyperparams):
     if r < d:
         rng = np.random.default_rng(hp.seed)
         X0[:, r:] = rng.normal(size=(n, d - r)) / np.sqrt(d)
-    Hw = X0.T @ X0 + n * hp.C1 * np.eye(d)
-    W0 = [_spd_solve(Hw, X0.T @ np.asarray(Z)).T for Z in views]
-    return X0, W0
+    return X0, _ridge_maps(X0, views, hp.C1)
+
+
+def _ridge_maps(X, views, C1: float) -> list:
+    """Each view's map from one ridge solve against the latents X."""
+    n, d = X.shape
+    H = X.T @ X + n * C1 * np.eye(d)
+    return [_spd_solve(H, X.T @ np.asarray(Z)).T for Z in views]
 
 
 def fit(
@@ -619,7 +626,7 @@ def fit(
     W, X, history = alternate(
         W, X,
         lambda W: _view_stacks(views, W),
-        _map_sweep(fit_view_map, views, hp, loss),
+        _map_sweep(views, [0.0] * len(views), hp, loss),
         hp, loss, threads,
     )
     model = IntactModel(

@@ -1,7 +1,9 @@
 """Independent reference computations the implementation is tested against.
 
 Everything here is deliberately naive (plain loops, math.log, dense grids)
-and shares no code path with the library.
+and shares no code path with the library, except `kernel_fit_atoms`: it
+runs the library's alternation driver, so that its outer iterations can
+be compared one to one, with a map solver and stacks of its own.
 """
 
 import math
@@ -111,3 +113,62 @@ def load_matrix_csv_lines(path):
     if not rows:
         return np.zeros((0, 0))
     return np.asarray(rows, dtype=np.float64)
+
+
+def _atom_stacks(A_list, grams):
+    """Stacks in atom coordinates: A^T K A, K A and diag(K) per view."""
+    KA = [K @ A for A, K in zip(A_list, grams)]
+    G = np.stack([A.T @ P for A, P in zip(A_list, KA)])
+    return G, np.stack(KA), np.stack([np.diag(K) for K in grams])
+
+
+def fit_atoms(K, X, A0, c, C1, tol_x, max_inner, loss="cauchy"):
+    """Reweighted solve of one view's atom matrix against fixed latents:
+    A = diag(Q) X (X^T diag(Q) X + n C1 I)^{-1}, weights Q at the current
+    atoms, until the atoms move by at most tol_x (Frobenius)."""
+    n, d = X.shape
+    A = A0.copy()
+    for k in range(max_inner):
+        KA = K @ A
+        s = np.diag(K) - 2.0 * np.sum(KA * X, axis=1) + np.sum((X @ (A.T @ KA)) * X, axis=1)
+        s = np.maximum(s, 0.0)
+        q = np.ones(n) if loss == "l2" else 1.0 / (c * c + s)
+        QX = X * q[:, None]
+        A_new = np.linalg.solve(X.T @ QX + n * C1 * np.eye(d), QX.T).T
+        delta = float(np.linalg.norm(A_new - A))
+        A = A_new
+        if delta <= tol_x:
+            return A, k + 1
+    return A, max_inner
+
+
+def kernel_fit_atoms(dataset, hp, kernel, loss="cauchy"):
+    """Kernel fit in atom coordinates: the library's Grams, latent
+    initialization and driver (`optimizer.alternate`), with `fit_atoms` as
+    the map solver and the atoms started at X (X^T X + n C1 I)^{-1}.
+    Returns (atoms, grams, X, FitHistory)."""
+    from intact.kernel import KernelSpec, gram, median_heuristic_gamma
+    from intact.optimizer import alternate, default_init
+
+    grams = []
+    for Z in dataset.views:
+        g = None
+        if kernel.kind == "rbf":
+            g = kernel.gamma if kernel.gamma is not None else median_heuristic_gamma(Z)
+        grams.append(gram(Z, KernelSpec(kernel.kind, g)))
+    X = default_init(dataset.views, hp)[0]
+    n, d = X.shape
+    A_shared = np.linalg.solve(X.T @ X + n * hp.C1 * np.eye(d), X.T).T
+
+    def sweep(X, A_list):
+        out = [
+            fit_atoms(K, X, A, hp.c, hp.C1, hp.tol_x, hp.max_inner, loss)
+            for K, A in zip(grams, A_list)
+        ]
+        return [A for A, _ in out], max(k for _, k in out)
+
+    A, X, history = alternate(
+        [A_shared.copy() for _ in grams], X,
+        lambda A: _atom_stacks(A, grams), sweep, hp, loss,
+    )
+    return A, grams, X, history

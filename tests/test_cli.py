@@ -310,3 +310,14 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_train_rejects_nan_gamma(tmp_path, synth_out, capsys):
+    # json reads the bare token NaN as a float
+    cfg = tmp_path / "nan_gamma.json"
+    cfg.write_text(
+        '{"manifest": "%s", "mode": "kernel", "kernel": {"kind": "rbf", "gamma": NaN},'
+        ' "hyperparams": {"d": 3}}' % (synth_out / "manifest.json")
+    )
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "gamma" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from intact import Hyperparams, standardize_views, validate_dataset
+from intact import Hyperparams, KernelSpec, standardize_views, validate_dataset
 from intact.errors import (
     EmptyView,
     NonFiniteInput,
@@ -114,3 +114,16 @@ def test_hyperparams_invariants():
         Hyperparams(d=2, seed=-1)
     hp = Hyperparams(d=3)
     assert hp.c == 1.0 and hp.max_outer == 200
+
+
+@pytest.mark.parametrize("name", ["c", "C1", "C2", "tol_obj", "tol_x"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_hyperparams_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        Hyperparams(d=2, **{name: value})
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0])
+def test_kernel_spec_rejects_bad_rbf_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        KernelSpec("rbf", gamma)

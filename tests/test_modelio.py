@@ -262,3 +262,17 @@ def test_save_matrix_csv_text(tmp_path, shape):
         ",".join(format(float(v), ".17g") for v in row) + "\n" for row in M
     )
     assert path.read_text() == want
+
+
+@pytest.mark.parametrize("name", ["c", "C1", "C2", "tol_obj", "tol_x"])
+def test_non_finite_hyperparam_raises_parse_error_with_line(tmp_path, name):
+    _, _, Zs = gen_planted_linear(10, [3, 2], 2, seed=0, noise_sigma=0.05)
+    model, _, _ = fit(validate_dataset(Zs), Hyperparams(d=2, seed=0, max_outer=3))
+    path = tmp_path / "model.txt"
+    modelio.save_model(path, model)
+    lines = path.read_text().splitlines()
+    index = _replace_scalar(name, "nan")(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        modelio.load_model(path)
+    assert err.value.line_number == index + 1
