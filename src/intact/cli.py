@@ -108,6 +108,19 @@ def _load_views(paths):
     return [modelio.load_matrix_csv(p) for p in paths]
 
 
+def _load_model_views(model, record, paths) -> list:
+    """The view files at `paths`, checked against the model's view count
+    and widths, then standardized with the model's record if it has one."""
+    raw = _load_views(paths)
+    if len(raw) != model.m:
+        raise DimensionMismatch(f"got {len(raw)} view files, model expects {model.m}")
+    dataset = validate_dataset(raw)
+    for v, (got, want) in enumerate(zip(dataset.view_dims, model.view_dims)):
+        if got != want:
+            raise DimensionMismatch(f"view {v} has {got} columns, model expects {want}")
+    return record.apply(dataset.views) if record is not None else list(dataset.views)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,18 +238,7 @@ def cmd_embed(cfg: dict, args) -> int:
     _check_paths_exist([model_path, *view_paths], "embed")
 
     model, record = modelio.load_model(model_path)
-    raw = _load_views(view_paths)
-    if len(raw) != model.m:
-        raise DimensionMismatch(
-            f"got {len(raw)} view files, model expects {model.m}"
-        )
-    dataset = validate_dataset(raw)
-    for v, (got, want) in enumerate(zip(dataset.view_dims, model.view_dims)):
-        if got != want:
-            raise DimensionMismatch(
-                f"view {v} has {got} columns, model expects {want}"
-            )
-    rows = record.apply(dataset.views) if record is not None else list(dataset.views)
+    rows = _load_model_views(model, record, view_paths)
     X = embed_examples(rows, model, threads=args.threads)
     out = _out_dir(args)
     modelio.save_matrix_csv(out / "embedding.csv", X)
@@ -269,14 +271,10 @@ def cmd_eval(cfg: dict, args) -> int:
         view_paths = _resolve_view_paths(cfg, Path("."), "eval")
         _check_paths_exist([model_path, *view_paths], "eval")
         model, record = modelio.load_model(model_path)
+        # not for kernel models: their views and cross-kernels would triple eval time
         if model.mode == "linear":
-            dataset = validate_dataset(_load_views(view_paths))
-            views = (
-                record.apply(dataset.views) if record is not None else dataset.views
-            )
-            metrics["reconstruction_error"] = reconstruction_error(
-                validate_dataset(views), model, X_est
-            )
+            views = _load_model_views(model, record, view_paths)
+            metrics["reconstruction_error"] = reconstruction_error(views, model, X_est)
 
     if truth_path is not None:
         X_true = modelio.load_matrix_csv(truth_path)
@@ -315,8 +313,7 @@ def cmd_probe(cfg: dict, args) -> int:
     view_paths = _resolve_view_paths(cfg, Path("."), "probe")
     _check_paths_exist([model_path, *view_paths], "probe")
     model, record = modelio.load_model(model_path)
-    dataset = validate_dataset(_load_views(view_paths))
-    rows = record.apply(dataset.views) if record is not None else list(dataset.views)
+    rows = _load_model_views(model, record, view_paths)
 
     taus = [float(t) for t in cfg.get("taus", [1e-3, 1e-2])]
     n_probes = int(cfg.get("n_probes", 100))
@@ -328,9 +325,9 @@ def cmd_probe(cfg: dict, args) -> int:
     print(f"{'example':>7} {'view':>4} {'coord':>5} {'tau':>10} "
           f"{'measured':>13} {'bound':>13} holds convex")
     for p in range(n_probes):
-        i = int(rng.integers(0, dataset.n))
-        v = int(rng.integers(0, dataset.m))
-        j = int(rng.integers(0, dataset.view_dims[v]))
+        i = int(rng.integers(0, len(rows[0])))
+        v = int(rng.integers(0, len(rows)))
+        j = int(rng.integers(0, rows[v].shape[1]))
         tau = taus[p % len(taus)] if taus else 0.0
         z = [np.asarray(Z[i], dtype=np.float64) for Z in rows]
         rep = stability_probe(

@@ -35,7 +35,7 @@ def reconstruction_error(dataset, model: IntactModel, X) -> float:
     """Mean Cauchy loss over all (view, example) pairs: the data term of
     the training objective."""
     X = as_matrix(X)
-    return data_term(_model_residual_sq(dataset, model, X), model.hyperparams.c)
+    return data_term(_model_residual_sq(dataset, model, X)[0], model.hyperparams.c)
 
 
 def align_to_truth(X_est, X_true) -> AlignmentScore:
@@ -174,13 +174,9 @@ class RobustnessReport:
 
 
 def _relative_reconstruction(clean_views, model, X) -> float:
-    X = as_matrix(X)
-    num = 0.0
-    den = 0.0
-    for Z, Wv in zip(clean_views, model.W):
-        Z = np.asarray(Z, dtype=np.float64)
-        num += float(np.sum((Z - X @ Wv.T) ** 2))
-        den += float(np.sum(Z * Z))
+    """Summed squared residuals over summed squared norms of the views."""
+    num = float(_model_residual_sq(clean_views, model, as_matrix(X))[0].sum())
+    den = sum(float(np.sum(Z * Z)) for Z in clean_views)
     return num / max(den, np.finfo(float).tiny)
 
 

@@ -10,7 +10,7 @@ from .core import Hyperparams, IntactModel
 from .errors import ZeroRegularizer
 from .estimators import rho_sq
 from .optimizer import (
-    _single_example_stacks,
+    _example_objectives,
     _example_stacks,
     residual_sq_from_stacks,
     solve_x,
@@ -64,21 +64,15 @@ def view_losses(z_views, model: IntactModel, x, hp: Hyperparams = None) -> np.nd
     hp (default: the model's hyperparameters)."""
     hp = hp or model.hyperparams
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    s = residual_sq_from_stacks(*_single_example_stacks(z_views, model), x)[:, 0]
+    s = residual_sq_from_stacks(*_example_stacks(z_views, model), x)[:, 0]
     return rho_sq(s, hp.c)
 
 
 def map_spectral_norms(model: IntactModel) -> np.ndarray:
-    """Largest singular value of each view map (feature-space operator
-    norm in kernel mode, via the Gram quadratic form)."""
-    if model.mode == "linear":
-        return np.array([np.linalg.norm(Wv, 2) for Wv in model.W])
-    km = model.kernel_part
-    out = []
-    for A, K in zip(km.A, km.gram):
-        G = A.T @ K @ A
-        out.append(float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0))))
-    return np.array(out)
+    """Largest singular value of each view map (the feature-space operator
+    norm in kernel mode): sqrt(lambda_max(G_v)) of the model's G stack."""
+    G = _example_stacks([np.empty((0, D)) for D in model.view_dims], model)[0]
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, -1], 0.0))
 
 
 def stability_bound(tau: float, model: IntactModel, hp: Hyperparams = None) -> float:
@@ -121,13 +115,8 @@ def local_convexity_check(
     ab = center + radius * rng.normal(size=(n_samples, 2, d))
     a, b = ab[:, 0], ab[:, 1]
     X = np.vstack([a, b, 0.5 * (a + b)])
-    G, P, znorm = _single_example_stacks(z_views, model)
-    m, n = len(G), len(X)
-    s = residual_sq_from_stacks(
-        G, np.broadcast_to(P, (m, n, d)), np.broadcast_to(znorm, (m, n)), X
-    )
     hp = hp or model.hyperparams
-    J = rho_sq(s, hp.c).mean(axis=0) + hp.C2 * np.einsum("ij,ij->i", X, X)
+    J = _example_objectives(_example_stacks(z_views, model), X, hp.c, hp.C2)
     ja, jb, jm = np.split(J, 3)
     bound = 0.5 * (ja + jb)
     return not np.any(jm > bound + 1e-10 * np.maximum(1.0, np.abs(bound)))

@@ -15,12 +15,15 @@ Nystrom map), so K_v = Phi_v Phi_v^T and maps W_v = Phi_v^T A_v. The row
 norms are diag(K_v), and the map solver adds the per-row offset
 diag(K_v) - ||Phi_v,i||^2 to its residuals. The model stores
 A_v = U_r Lambda_r^{-1/2} W_v; with a linear kernel the iterates coincide
-with the linear model's up to round-off.
+with the linear model's up to round-off. A fitted model builds its stack
+G_v = A_v^T K_v A_v once, on first use (`KernelModel.G`), and everything
+that reads the model's maps reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -156,10 +159,15 @@ class KernelModel:
     def n_train(self) -> int:
         return self.training_views[0].shape[0]
 
+    @cached_property
+    def G(self) -> np.ndarray:
+        """Read-only stack G_v = A_v^T K_v A_v, built on first use."""
+        return freeze_array(_atom_stacks(self.A, self.gram)[0])
+
     def stacks(self, view_rows):
         """Sweep stacks of new examples (one row matrix per view): P_v and
         the self-kernels through cross-kernels against the retained
-        training views, G_v as in training."""
+        training views, and the model's G stack."""
         rows = _as_rows(view_rows, [Z.shape[1] for Z in self.training_views])
         P = np.stack([
             cross_gram(Z, Ztr, self.kernel.kind, g) @ A  # (n_new x n_train) A
@@ -169,21 +177,26 @@ class KernelModel:
             znorm = np.stack([np.einsum("ij,ij->i", Z, Z) for Z in rows])
         else:
             znorm = np.ones(P.shape[:2])
-        return np.stack([A.T @ (K @ A) for A, K in zip(self.A, self.gram)]), P, znorm
+        return self.G, P, znorm
+
+
+def _atom_stacks(km_A, grams):
+    """Stacks A_v^T K_v A_v and K_v A_v of atom maps over their Grams."""
+    KA = np.stack([K @ A for A, K in zip(km_A, grams)])
+    return np.stack([A.T @ P for A, P in zip(km_A, KA)]), KA
 
 
 def kernel_residual_sq(i: int, v: int, x, km: KernelModel) -> float:
     """Feature-space squared residual of training example i on view v at
-    latent point x; round-off negativity is clamped to zero."""
+    latent point x, k(z_i,z_i) - 2 k_i^T A_v x + x^T G_v x; round-off
+    negativity is clamped to zero."""
     if not 0 <= v < len(km.A):
         raise IndexError(f"view index {v} out of range")
     K = km.gram[v]
     if not 0 <= i < K.shape[0]:
         raise IndexError(f"example index {i} out of range")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    A = km.A[v]
-    Ax = A @ x
-    val = float(K[i, i] - 2.0 * (K[i] @ Ax) + Ax @ (K @ Ax))
+    val = float(K[i, i] - 2.0 * (K[i] @ (km.A[v] @ x)) + x @ km.G[v] @ x)
     return max(val, 0.0)
 
 
@@ -194,15 +207,13 @@ def kernel_w_norm_sq(v: int, km: KernelModel) -> float:
     under which explicit (linear-kernel) features reproduce the linear
     model's penalty exactly.
     """
-    A = km.A[v]
-    return float(np.sum((km.gram[v] @ A) * A))
+    return float(np.trace(km.G[v]))
 
 
 def kernel_alternation_objective(km_A, grams, X, hp: Hyperparams, loss="cauchy") -> float:
     """The alternation objective in atom coordinates, on the stacks
     A_v^T K_v A_v, K_v A_v and diag(K_v)."""
-    P = np.stack([K @ A for A, K in zip(km_A, grams)])
-    G = np.stack([A.T @ KA for A, KA in zip(km_A, P)])
+    G, P = _atom_stacks(km_A, grams)
     s = residual_sq_from_stacks(G, P, np.stack([np.diag(K) for K in grams]), X)
     return _objective(s, G, X, hp, loss)
 
@@ -276,11 +287,9 @@ def kernel_embed_many(z_rows, km: KernelModel, hp: Hyperparams, threads: int = 1
     return embed_examples(z_rows, model, hp, threads)
 
 
-def kernel_embed(z_new, km: KernelModel, hp: Hyperparams = None) -> np.ndarray:
+def kernel_embed(z_new, km: KernelModel, hp: Hyperparams) -> np.ndarray:
     """Latent coordinate of one new multi-view example, found by the same
     reweighted solver used in training, via cross-kernels against the
     retained training views."""
-    if hp is None:
-        raise ValueError("kernel_embed needs hyperparameters")
     rows = [np.asarray(z, dtype=np.float64).reshape(1, -1) for z in z_new]
     return kernel_embed_many(rows, km, hp)[0]

@@ -21,12 +21,14 @@ of the nuclear norm. It is exact block descent, and its decrease is part
 of the "x-update" half step that follows it.
 
 The driver sees a model only through its per-view stacks G_v = W_v^T W_v,
-P_v = Z_v W_v and the squared row norms of Z_v. Residuals, weights, the
-objective and the map penalty ||W_v||_F^2 = trace(G_v) all follow from
-them. Kernel mode (kernel.py) runs the driver and the one map solver,
+P_v = Z_v W_v and the squared row norms of Z_v, and so does all other
+code, through `_example_stacks` (a kernel model builds its G once).
+Residuals, weights, every objective, reconstruction errors, map norms and
+the map penalty ||W_v||_F^2 = trace(G_v) follow from them, in both modes.
+Kernel mode (kernel.py) runs the driver and the one map solver,
 `fit_view_map`, on exact kernel features. The per-example functions
 (`objective_x`, `grad_x`, `update_x_once`, `solve_x`, `majorant_*`) are
-the batched latent step at n = 1 and accept models of either mode.
+the batched latent step at n = 1, valued by `_example_objectives`.
 `objective_full` keeps the sum-normalized regularizers for standalone use.
 """
 
@@ -106,9 +108,12 @@ def _view_residual_sq(Z, X, W) -> np.ndarray:
 def _view_stacks(views, W_list):
     """Per-view quantities the latent sweep and the objective read:
     G_v = W_v^T W_v, P_v = Z_v W_v, and squared row norms of Z_v."""
-    G = np.array([Wv.T @ Wv for Wv in W_list])
-    P = np.array([np.asarray(Z) @ Wv for Z, Wv in zip(views, W_list)])
-    znorm = np.array([np.einsum("ij,ij->i", Z, Z) for Z in views])
+    m, n, d = len(views), len(views[0]), W_list[0].shape[1]
+    G, P, znorm = np.empty((m, d, d)), np.empty((m, n, d)), np.empty((m, n))
+    for v, (Z, Wv) in enumerate(zip(views, W_list)):  # in place: no stacked copies
+        np.matmul(Wv.T, Wv, out=G[v])
+        np.matmul(Z, Wv, out=P[v])
+        np.einsum("ij,ij->i", Z, Z, out=znorm[v])
     return G, P, znorm
 
 
@@ -124,9 +129,11 @@ def _as_rows(view_rows, dims) -> list:
 
 
 def _example_stacks(view_rows, model: IntactModel):
-    """Stacks of examples given as one row matrix per view, in either mode:
-    explicit maps in linear mode, cross-kernels against the retained
-    training views in kernel mode."""
+    """Stacks of examples given as one row matrix (or, for one example, one
+    vector) per view, in either mode: explicit maps in linear mode,
+    cross-kernels against the retained training views and the cached G
+    stack in kernel mode. Outside the fitter this is the only reader of a
+    model's maps; with zero rows per view it yields the model's G stack."""
     if model.mode == "kernel":
         return model.kernel_part.stacks(view_rows)
     return _view_stacks(_as_rows(view_rows, model.view_dims), model.W)
@@ -137,9 +144,11 @@ def residual_sq_from_stacks(G, P, znorm, X) -> np.ndarray:
 
     Tiny negative values from cancellation are clamped to zero.
     """
-    lin = np.einsum("vnd,nd->vn", P, X)
-    quad = np.einsum("vne,ne->vn", X @ G, X)
-    return np.maximum(znorm - 2.0 * lin + quad, 0.0)
+    s = np.einsum("vnd,nd->vn", P, X)
+    s *= -2.0
+    s += znorm
+    s += np.einsum("vne,ne->vn", X @ G, X)
+    return np.maximum(s, 0.0, out=s)
 
 
 def data_term(s, c: float, loss: str = "cauchy") -> float:
@@ -164,16 +173,15 @@ def alternation_objective(views, W_list, X, hp: Hyperparams, loss="cauchy") -> f
     return _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
 
 
-def _model_residual_sq(dataset, model: IntactModel, X) -> np.ndarray:
-    """Squared residuals (m x n) of a dataset under a linear model."""
-    if model.mode != "linear":
-        raise ShapeMismatch("operation requires a linear-mode model")
-    views = dataset.views if isinstance(dataset, MultiViewDataset) else list(dataset)
-    views = _as_rows(views, model.view_dims)
+def _model_residual_sq(dataset, model: IntactModel, X):
+    """Squared residuals (m x n) of a dataset under a model of either mode,
+    and the model's G stack."""
+    views = _as_rows(getattr(dataset, "views", dataset), model.view_dims)
     for v, Z in enumerate(views):
         if Z.shape[0] != X.shape[0]:
             raise ShapeMismatch(f"view {v} has {Z.shape[0]} rows, expected {X.shape[0]}")
-    return np.stack([_view_residual_sq(Z, X, Wv) for Z, Wv in zip(views, model.W)])
+    G, P, znorm = _example_stacks(views, model)
+    return residual_sq_from_stacks(G, P, znorm, X), G
 
 
 def objective_full(dataset, model: IntactModel, X) -> float:
@@ -181,9 +189,9 @@ def objective_full(dataset, model: IntactModel, X) -> float:
     example) pairs plus C1 * sum_v ||W_v||_F^2 + C2 * sum_i ||x_i||^2."""
     X = as_matrix(X)
     hp = model.hyperparams
-    data = data_term(_model_residual_sq(dataset, model, X), hp.c)
-    reg_w = sum(float(np.sum(Wv * Wv)) for Wv in model.W)
-    return data + hp.C1 * reg_w + hp.C2 * float(np.sum(X * X))
+    s, G = _model_residual_sq(dataset, model, X)
+    reg_w = float(np.trace(G, axis1=1, axis2=2).sum())
+    return data_term(s, hp.c) + hp.C1 * reg_w + hp.C2 * float(np.sum(X * X))
 
 
 def objective_w(view_data, X, W, hp: Hyperparams) -> float:
@@ -217,33 +225,36 @@ def _latent_step(G, P, znorm, X, c, C2, loss="cauchy") -> np.ndarray:
     return _spd_solve(H, rhs[..., None])[..., 0]
 
 
-def _single_example_stacks(z_views, model: IntactModel):
-    """Stacks of one example given as one vector per view (n = 1)."""
-    return _example_stacks([np.reshape(z, (1, -1)) for z in z_views], model)
+def _example_objectives(stacks, X, c: float, C2: float) -> np.ndarray:
+    """Per-example objective of one example's stacks (n = 1) at each row
+    of X: mean Cauchy loss across views + C2 ||x||^2, shape (len(X),)."""
+    s = residual_sq_from_stacks(*stacks, X)
+    return rho_sq(s, c).sum(axis=0) / len(s) + C2 * (X * X).sum(axis=1)
 
 
-def _example_system(z_views, model: IntactModel, x):
-    """Per-view squared residuals, reweighted system (H, rhs) and latent
-    point of one example at x, under the model's hyperparameters."""
+def _example_system(z_views, model: IntactModel, x, hp: Hyperparams = None):
+    """Stacks, reweighted system (H, rhs) and latent point of one example
+    at x, with c and C2 from hp (default: the model's hyperparameters)."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    hp = model.hyperparams
-    stacks = _single_example_stacks(z_views, model)
-    s, H, rhs = _latent_system(*stacks, x[None], hp.c, hp.C2)
-    return s[:, 0], H[0], rhs[0], x
+    hp = hp or model.hyperparams
+    stacks = _example_stacks(z_views, model)
+    _, H, rhs = _latent_system(*stacks, x[None], hp.c, hp.C2)
+    return stacks, H[0], rhs[0], x
 
 
 def objective_x(z_views, model: IntactModel, x) -> float:
     """Per-example objective: mean Cauchy loss across views + C2 ||x||^2."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    s = residual_sq_from_stacks(*_single_example_stacks(z_views, model), x[None])
-    return data_term(s, model.hyperparams.c) + model.hyperparams.C2 * float(x @ x)
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    stacks = _example_stacks(z_views, model)
+    hp = model.hyperparams
+    return float(_example_objectives(stacks, x, hp.c, hp.C2)[0])
 
 
 def grad_x(z_views, model: IntactModel, x) -> np.ndarray:
     """Gradient of objective_x at x: (2/m)(H x - rhs) for the reweighted
     system at x."""
-    s, H, rhs, x = _example_system(z_views, model, x)
-    return 2.0 * (H @ x - rhs) / s.shape[0]
+    stacks, H, rhs, x = _example_system(z_views, model, x)
+    return 2.0 * (H @ x - rhs) / len(stacks[0])
 
 
 def update_x_once(z_views, model: IntactModel, x_current) -> np.ndarray:
@@ -260,22 +271,23 @@ def update_x_once(z_views, model: IntactModel, x_current) -> np.ndarray:
 def majorant_curvature(z_views, model: IntactModel, x_k) -> np.ndarray:
     """Curvature matrix of the quadratic upper bound at x_k:
     (1/m) sum_v W_v^T W_v / (c^2 + ||z^v - W_v x_k||^2) + C2 I."""
-    s, H, _, _ = _example_system(z_views, model, x_k)
-    return H / s.shape[0]
+    stacks, H, _, _ = _example_system(z_views, model, x_k)
+    return H / len(stacks[0])
 
 
 def majorant_value(x, x_k, z_views, model: IntactModel, hp: Hyperparams = None) -> float:
-    """Quadratic bound psi(x; x_k) tangent to objective_x at x_k.
+    """Quadratic bound psi(x; x_k) tangent to the per-example objective at
+    x_k, with c and C2 from hp (default: the model's hyperparameters).
 
-    Because log(1+s) is concave in s >= 0 the bound dominates objective_x
-    everywhere, and its closed-form minimizer is exactly update_x_once.
+    Because log(1+s) is concave in s >= 0 the bound dominates the
+    objective everywhere, and its closed-form minimizer is exactly the
+    reweighted update.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    x_k = np.asarray(x_k, dtype=np.float64).reshape(-1)
-    delta = x - x_k
-    g = grad_x(z_views, model, x_k)
-    C = majorant_curvature(z_views, model, x_k)
-    return objective_x(z_views, model, x_k) + float(delta @ g) + float(delta @ C @ delta)
+    hp = hp or model.hyperparams
+    stacks, H, rhs, x_k = _example_system(z_views, model, x_k, hp)
+    delta = np.asarray(x, dtype=np.float64).reshape(-1) - x_k
+    J = float(_example_objectives(stacks, x_k[None], hp.c, hp.C2)[0])
+    return J + float(delta @ (2.0 * (H @ x_k - rhs) + H @ delta)) / len(stacks[0])
 
 
 def _iterate(update, value, residuals, start, hp: Hyperparams) -> SubproblemResult:
@@ -306,16 +318,11 @@ def solve_x(z_views, model: IntactModel, x0, hp: Hyperparams = None) -> Subprobl
     reached. The recorded objective trace is non-increasing.
     """
     hp = hp or model.hyperparams
-    c, C2 = hp.c, hp.C2
-    stacks = _single_example_stacks(z_views, model)
-
-    def residuals(x):
-        return residual_sq_from_stacks(*stacks, x[None])[:, 0]
-
+    stacks = _example_stacks(z_views, model)
     return _iterate(
-        lambda x: _latent_step(*stacks, x[None], c, C2)[0],
-        lambda x: data_term(residuals(x), c) + C2 * float(x @ x),
-        residuals,
+        lambda x: _latent_step(*stacks, x[None], hp.c, hp.C2)[0],
+        lambda x: float(_example_objectives(stacks, x[None], hp.c, hp.C2)[0]),
+        lambda x: residual_sq_from_stacks(*stacks, x[None])[:, 0],
         np.array(x0, dtype=np.float64).reshape(-1),
         hp,
     )

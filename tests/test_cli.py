@@ -321,3 +321,34 @@ def test_train_rejects_nan_gamma(tmp_path, synth_out, capsys):
     )
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["embed", "eval", "probe"])
+def test_model_views_checked_before_standardizing(tmp_path, trained, synth_out, command, capsys):
+    # 3-column views against the 2-column views the model was trained on
+    views = []
+    for v in range(9):
+        M = modelio.load_matrix_csv(synth_out / f"view_{v:02d}.csv")
+        views.append(str(tmp_path / f"wide_{v}.csv"))
+        modelio.save_matrix_csv(views[-1], np.hstack([M, M[:, :1]]))
+    cfg = {"model": str(trained / "model.txt"), "views": views}
+    if command == "eval":
+        cfg.update(embedding=str(trained / "embedding.csv"),
+                   truth=str(trained / "embedding.csv"))
+    if command == "probe":
+        cfg.update(n_probes=1)
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "view 0 has 3 columns, model expects 2" in capsys.readouterr().err
+
+
+def test_eval_rejects_wrong_view_count(tmp_path, trained, synth_out, capsys):
+    cfg = write_cfg(
+        tmp_path / "eval.json",
+        {"embedding": str(trained / "embedding.csv"),
+         "truth": str(trained / "embedding.csv"),
+         "model": str(trained / "model.txt"),
+         "views": [str(synth_out / "view_00.csv")]},
+    )
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "m")]) == 1
+    assert "got 1 view files, model expects 9" in capsys.readouterr().err

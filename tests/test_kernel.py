@@ -243,3 +243,9 @@ def test_kernel_embed_zeros_is_finite():
     model, _, _ = kernel_fit(ds, hp, KernelSpec("rbf"))
     x = kernel_embed([np.zeros(3), np.zeros(3)], model.kernel_part, hp)
     assert np.all(np.isfinite(x))
+
+
+def test_kernel_embed_requires_hyperparams():
+    # a required parameter, not a default that raises when left out
+    with pytest.raises(TypeError, match="hp"):
+        kernel_embed([np.zeros(3)], None)

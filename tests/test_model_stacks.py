@@ -1,0 +1,112 @@
+"""Model-level quantities read through the stacks, in both modes:
+reconstruction error, the full objective, map norms and the row guard."""
+
+import numpy as np
+import pytest
+
+from intact import (
+    Hyperparams,
+    KernelSpec,
+    NoiseSpec,
+    gen_s_curve,
+    gram,
+    kernel_fit,
+    kernel_w_norm_sq,
+    make_noisy_views,
+    map_spectral_norms,
+    objective_full,
+    project_to_planes,
+    reconstruction_error,
+    standardize_views,
+    validate_dataset,
+)
+from intact.core import IntactModel, freeze_array
+from intact.errors import ShapeMismatch
+from intact.kernel import KernelModel
+
+
+def s_curve_dataset(n, seed):
+    views = make_noisy_views(
+        project_to_planes(gen_s_curve(n, seed=seed)),
+        NoiseSpec(snr_db=20.0, window_fraction=0.3, copies_per_base=3, seed=seed),
+    )
+    return standardize_views(validate_dataset(views))[0]
+
+
+def twin_models(seed, dims=(3, 4), n_train=8, d=2):
+    """A linear-kernel model and the linear model with W_v = Z_v^T A_v."""
+    rng = np.random.default_rng(seed)
+    hp = Hyperparams(d=d, c=0.9, C1=0.3, C2=0.2)
+    Zs = [rng.normal(size=(n_train, D)) for D in dims]
+    As = [rng.normal(size=(n_train, d)) for _ in dims]
+    km = KernelModel(
+        A=tuple(freeze_array(A) for A in As),
+        training_views=tuple(freeze_array(Z) for Z in Zs),
+        kernel=KernelSpec("linear"),
+        gram=tuple(freeze_array(gram(Z, KernelSpec("linear"))) for Z in Zs),
+        gammas=(None,) * len(dims),
+    )
+    kernel = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)
+    linear = IntactModel(
+        mode="linear",
+        W=tuple(freeze_array(Z.T @ A) for Z, A in zip(Zs, As)),
+        kernel_part=None,
+        hyperparams=hp,
+    )
+    return kernel, linear, rng
+
+
+@pytest.mark.parametrize(
+    "kind, n, seed", [("rbf", 100, 1000), ("rbf", 300, 0), ("linear", 100, 3)]
+)
+def test_kernel_reconstruction_is_final_objective_minus_penalties(kind, n, seed):
+    ds = s_curve_dataset(n, seed)
+    hp = Hyperparams(d=3, C1=1e-4, C2=1e-4, seed=seed)
+    model, emb, hist = kernel_fit(ds, hp, KernelSpec(kind))
+    km = model.kernel_part
+    m = model.m
+    penalty = hp.C1 / m * sum(kernel_w_norm_sq(v, km) for v in range(m))
+    penalty += hp.C2 / n * float(np.sum(emb.X * emb.X))
+    want = hist.objective_trace[-1][1] - penalty
+    got = reconstruction_error(ds, model, emb.X)
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_kernel_model_matches_linear_twin(seed):
+    kernel, linear, rng = twin_models(seed)
+    views = [rng.normal(size=(7, D)) for D in linear.view_dims]
+    X = rng.normal(size=(7, 2))
+    for f in (objective_full, reconstruction_error):
+        a, b = f(views, kernel, X), f(views, linear, X)
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+    np.testing.assert_allclose(
+        map_spectral_norms(kernel), map_spectral_norms(linear), rtol=1e-9
+    )
+    # the norms are the largest singular values of the explicit maps
+    np.testing.assert_allclose(
+        map_spectral_norms(linear), [np.linalg.norm(W, 2) for W in linear.W], rtol=1e-12
+    )
+
+
+@pytest.mark.parametrize("mode", ["linear", "kernel"])
+def test_model_metrics_reject_row_count_mismatch(mode):
+    kernel, linear, rng = twin_models(5)
+    model = kernel if mode == "kernel" else linear
+    views = [rng.normal(size=(1, D)) for D in model.view_dims]
+    X = rng.normal(size=(5, 2))
+    for f in (objective_full, reconstruction_error):
+        with pytest.raises(ShapeMismatch, match="view 0 has 1 rows, expected 5"):
+            f(views, model, X)
+
+
+def test_kernel_model_builds_g_once():
+    kernel, _, rng = twin_models(6)
+    km = kernel.kernel_part
+    G = km.G
+    assert km.G is G
+    assert not G.flags.writeable
+    for A, K, Gv in zip(km.A, km.gram, G):
+        np.testing.assert_allclose(Gv, A.T @ K @ A, rtol=1e-12, atol=1e-12)
+    rows = [rng.normal(size=(3, D)) for D in kernel.view_dims]
+    assert km.stacks(rows)[0] is G

@@ -468,3 +468,20 @@ def test_alternation_objective_l2():
         np.sum(W[0] ** 2)
     ) + 0.2 * float(np.sum(X**2)) / 3
     assert abs(val - want) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_majorant_uses_its_hyperparams(seed):
+    from dataclasses import replace
+
+    model, zs, x_k, hp = random_instance(seed)
+    probe_hp = replace(hp, c=0.3, C2=1.0)
+    probe_model = replace(model, hyperparams=probe_hp)
+    v = majorant_value(x_k, x_k, zs, model, probe_hp)
+    assert math.isclose(v, objective_x(zs, probe_model, x_k), rel_tol=1e-15)
+    x = x_k + 0.1
+    assert math.isclose(
+        majorant_value(x, x_k, zs, model, probe_hp),
+        majorant_value(x, x_k, zs, probe_model),
+        rel_tol=1e-15,
+    )
