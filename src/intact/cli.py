@@ -10,6 +10,7 @@ validations passed. INTACT_LOG controls log verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -60,10 +61,7 @@ def _require(cfg: dict, key: str, where: str):
 
 
 def _hyperparams_from(cfg: dict, where: str, seed_override=None) -> Hyperparams:
-    allowed = {
-        "d", "c", "C1", "C2", "max_outer", "max_inner", "tol_obj", "tol_x", "seed",
-    }
-    _check_keys(cfg, allowed, where)
+    _check_keys(cfg, {f.name for f in dataclasses.fields(Hyperparams)}, where)
     kwargs = dict(cfg)
     kwargs["d"] = int(_require(cfg, "d", where))
     if seed_override is not None:
@@ -71,11 +69,10 @@ def _hyperparams_from(cfg: dict, where: str, seed_override=None) -> Hyperparams:
     return Hyperparams(**kwargs)
 
 
-def _noise_from(cfg: dict, where: str, seed_override=None) -> NoiseSpec:
-    _check_keys(cfg, {"snr_db", "window_fraction", "copies_per_base", "seed"}, where)
+def _noise_from(cfg: dict, where: str, seed: int) -> NoiseSpec:
+    _check_keys(cfg, {"snr_db", "window_fraction", "copies_per_base"}, where)
     snr = _require(cfg, "snr_db", where)
     snr = math.inf if snr in ("inf", "Infinity") else float(snr)
-    seed = int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
     return NoiseSpec(
         snr_db=snr,
         window_fraction=float(cfg.get("window_fraction", 0.3)),
@@ -149,7 +146,7 @@ def cmd_synth(cfg: dict, args) -> int:
 
     noise_cfg = cfg.get("noise")
     if noise_cfg is not None:
-        spec = _noise_from(noise_cfg, "synth.noise", seed_override=seed)
+        spec = _noise_from(noise_cfg, "synth.noise", seed)
         views = make_noisy_views(base_views, spec)
         noise_payload = {
             "snr_db": "inf" if math.isinf(spec.snr_db) else spec.snr_db,
@@ -288,6 +285,8 @@ def cmd_eval(cfg: dict, args) -> int:
             )
         k = int(cfg.get("k", 3))
         frac = float(cfg.get("train_fraction", 0.5))
+        if not 0.0 < frac < 1.0:
+            raise ValueError(f"eval: train_fraction must lie in (0, 1), got {frac}")
         seed = int(cfg.get("seed", 0)) if args.seed is None else int(args.seed)
         rng = np.random.default_rng(seed)
         perm = rng.permutation(X_est.shape[0])
@@ -367,6 +366,8 @@ def cmd_bench(cfg: dict, args) -> int:
     view_dims = [int(D) for D in cfg.get("view_dims", [6, 6, 6])]
     noise_sigma = float(cfg.get("noise_sigma", 0.05))
     n_seeds = int(cfg.get("n_seeds", 10))
+    if n_seeds < 1:
+        raise ValueError(f"bench: n_seeds must be >= 1, got {n_seeds}")
     base_seed = 0 if args.seed is None else int(args.seed)
     hp_cfg = dict(cfg.get("hyperparams") or {"d": 3, "C1": 1e-3, "C2": 1e-3})
 

@@ -33,7 +33,6 @@ from .core import (
     IntactEmbedding,
     IntactModel,
     MultiViewDataset,
-    as_matrix,
     freeze_array,
 )
 from .errors import GramNotPSD, NonFiniteInput, ShapeMismatch
@@ -222,20 +221,17 @@ def kernel_fit(
     dataset: MultiViewDataset,
     hp: Hyperparams,
     kernel: KernelSpec,
-    init=None,
     loss: str = "cauchy",
     threads: int = 1,
 ):
-    """Fit the kernel model on exact kernel features (module docstring):
-    latents from `default_init`, maps by ridge against them, or atoms of
-    `init=(model, X)` mapped in as W_v = Phi_v^T A_v. Returns
-    (IntactModel in kernel mode, IntactEmbedding, FitHistory).
+    """Fit the kernel model on exact kernel features (module docstring),
+    starting from the latents of `default_init` and the maps fitted by
+    ridge against them. Returns (IntactModel in kernel mode,
+    IntactEmbedding, FitHistory).
     """
     if loss not in ("cauchy", "l2"):
         raise ValueError(f"unknown loss {loss!r}")
     views = dataset.views
-    n, d = dataset.n, hp.d
-
     gammas, grams, feats, to_atoms = [], [], [], []
     for Z in views:
         g = None if kernel.kind == "linear" else kernel.gamma or median_heuristic_gamma(Z)
@@ -249,19 +245,8 @@ def kernel_fit(
     znorm = np.stack([np.diag(K) for K in grams])
     offsets = znorm - np.stack([np.einsum("ij,ij->i", F, F) for F in feats])
 
-    if init is not None:
-        model0, X0 = init
-        if model0.mode != "kernel":
-            raise ShapeMismatch("kernel_fit init must carry a kernel-mode model")
-        A = [np.asarray(Av, dtype=np.float64) for Av in model0.kernel_part.A]
-        for v, Av in enumerate(A):
-            if Av.shape != (n, d):
-                raise ShapeMismatch(f"A[{v}] shape {Av.shape}, expected ({n}, {d})")
-        W = [F.T @ Av for F, Av in zip(feats, A)]
-        X = np.array(as_matrix(X0), dtype=np.float64)
-    else:
-        X = default_init(views, hp)[0]
-        W = _ridge_maps(X, feats, hp.C1)
+    X = default_init(views, hp)[0]
+    W = _ridge_maps(X, feats, hp.C1)
 
     W, X, history = alternate(
         W, X,

@@ -4,6 +4,14 @@ Matrices are stored row-major as decimal text with 17 significant digits,
 which round-trips doubles exactly, so save -> load -> save is
 byte-identical. Nothing here writes timestamps; all outputs are
 deterministic functions of their inputs.
+
+Every number table has one writer and one reader. `_format_rows` writes
+CSV rows (comma-separated) and model-file blocks (space-separated);
+`_parse_rows` reads CSV files, model-file blocks and XYZ point clouds
+(`synth.load_xyz_point_cloud`), with NumPy first and a line loop that
+names the first bad line as fallback. Model-file blocks take no comment
+lines. `_HYPERPARAM_LINES` lists the hyperparameter lines that
+`save_model` writes and `load_model` reads.
 """
 
 from __future__ import annotations
@@ -37,16 +45,20 @@ def fmt_float(x) -> str:
 _CSV_BLOCK_ROWS = 1024
 
 
+def _format_rows(M, sep: str = ",") -> str:
+    """Rows of the 2-D array M joined by newlines (no final newline), each
+    number written as "%.17g", the text fmt_float gives it."""
+    row = sep.join(["%.17g"] * M.shape[1])
+    return "\n".join([row] * M.shape[0]) % tuple(M.ravel().tolist())
+
+
 def save_matrix_csv(path, M, header: str = None):
     M = np.atleast_2d(np.asarray(M, dtype=np.float64))
-    # "%.17g" formats a double exactly as fmt_float does
-    row = ",".join(["%.17g"] * M.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
         for start in range(0, M.shape[0], _CSV_BLOCK_ROWS):
-            block = M[start:start + _CSV_BLOCK_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(M[start:start + _CSV_BLOCK_ROWS]) + "\n")
 
 
 def save_view_csv(path, Z, view_index: int):
@@ -56,15 +68,22 @@ def save_view_csv(path, Z, view_index: int):
 
 def load_matrix_csv(path) -> np.ndarray:
     """Matrix from text rows of numbers separated by commas and/or
-    whitespace. Blank lines and lines starting with '#' are skipped, every
-    token is read as Python's float() reads it, and an empty file gives a
-    (0, 0) array. Raises ParseError naming the first line that is not a
-    row of numbers as wide as the first row."""
+    whitespace (`_parse_rows`); an empty file gives a (0, 0) array."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    data = [text for text in map(str.strip, lines) if text and text[0] != "#"]
+        return _parse_rows(path, fh.read().split("\n"))
+
+
+def _parse_rows(path, lines, first_line: int = 1, width: int = None,
+               comment: str = "#") -> np.ndarray:
+    """Matrix from `lines` (file lines, the first at line `first_line`) of
+    numbers separated by commas and/or whitespace. Blank lines and lines
+    starting with `comment` (None: no comment lines) are skipped, and every
+    token is read as Python's float() reads it. Raises ParseError naming
+    the first line that is not a row of numbers as wide as `width`
+    (default: the first row)."""
+    data = [text for text in map(str.strip, lines) if text and text[0] != comment]
     if not data:
-        return np.zeros((0, 0))
+        return np.zeros((0, width or 0))
     rows = "\n".join(data).replace(",", " ").split("\n")
     M = None
     # NumPy warns when no row holds a number; such files, ragged ones, ones
@@ -75,17 +94,16 @@ def load_matrix_csv(path) -> np.ndarray:
             M = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
             pass
-    if M is None or M.shape[0] != len(data):
-        M = _parse_csv_lines(path, lines)
+    if M is None or M.shape[0] != len(data) or width not in (None, M.shape[1]):
+        M = _parse_csv_lines(path, lines, first_line, width, comment)
     return M
 
 
-def _parse_csv_lines(path, lines) -> np.ndarray:
+def _parse_csv_lines(path, lines, first_line, width, comment) -> np.ndarray:
     rows = []
-    width = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=first_line):
         text = line.strip()
-        if not text or text.startswith("#"):
+        if not text or text[0] == comment:
             continue
         parts = text.replace(",", " ").split()
         try:
@@ -186,7 +204,17 @@ class _Cursor:
         expected = [index, rows, cols]
         if self.numbers(parts, int) != expected:
             self.fail(f"expected '{keyword} {index} {rows} {cols}', got {' '.join(parts)!r}")
-        return self.matrix(rows, cols)
+        # the block is the next `rows` non-blank lines; a '#' line in it is
+        # a bad row, since model files have no comments
+        start, need = self.pos, rows
+        while need > 0 and self.pos < len(self.lines):
+            chunk = self.lines[self.pos:self.pos + need]
+            self.pos += len(chunk)
+            need -= sum(map(bool, map(str.strip, chunk)))
+        M = _parse_rows(self.path, self.lines[start:self.pos], start + 1, cols, None)
+        if need > 0:
+            self.next()  # the file ends inside the block: raises ParseError
+        return M
 
     def hyperparams(self, fields: dict) -> Hyperparams:
         """Hyperparams of the fields read so far; a rejection names the
@@ -196,15 +224,6 @@ class _Cursor:
         except ValueError as exc:
             self.fail(f"invalid hyperparameter: {exc}")
 
-    def matrix(self, rows: int, cols: int) -> np.ndarray:
-        out = np.empty((rows, cols))
-        for i in range(rows):
-            parts = self.next().replace(",", " ").split()
-            if len(parts) != cols:
-                self.fail(f"expected {cols} values")
-            out[i] = self.numbers(parts)
-        return out
-
 
 def save_model(path, model: IntactModel, record: StandardizeRecord = None):
     hp = model.hyperparams
@@ -212,33 +231,24 @@ def save_model(path, model: IntactModel, record: StandardizeRecord = None):
     if model.mode == "kernel":
         lines.append(f"n_train {model.kernel_part.n_train}")
     lines.append("view_dims " + " ".join(str(D) for D in model.view_dims))
-    lines.append(f"c {fmt_float(hp.c)}")
-    lines.append(f"C1 {fmt_float(hp.C1)}")
-    lines.append(f"C2 {fmt_float(hp.C2)}")
-    lines.append(f"max_outer {hp.max_outer}")
-    lines.append(f"max_inner {hp.max_inner}")
-    lines.append(f"tol_obj {fmt_float(hp.tol_obj)}")
-    lines.append(f"tol_x {fmt_float(hp.tol_x)}")
-    lines.append(f"seed {hp.seed}")
+    for name, kind in _HYPERPARAM_LINES:
+        lines.append(f"{name} {(fmt_float if kind is float else str)(getattr(hp, name))}")
     lines.append(f"standardized {1 if record is not None else 0}")
     if record is not None:
         for v, (mu, sc) in enumerate(zip(record.means, record.scales)):
-            lines.append(f"mean {v} " + " ".join(fmt_float(x) for x in mu))
-            lines.append(f"scale {v} " + " ".join(fmt_float(x) for x in sc))
+            lines.append(f"mean {v} " + _format_rows(np.atleast_2d(mu), " "))
+            lines.append(f"scale {v} " + _format_rows(np.atleast_2d(sc), " "))
     if model.mode == "linear":
         for v, Wv in enumerate(model.W):
-            lines.append(f"W {v} {Wv.shape[0]} {Wv.shape[1]}")
-            lines.extend(" ".join(fmt_float(x) for x in row) for row in Wv)
+            lines += [f"W {v} {Wv.shape[0]} {Wv.shape[1]}", _format_rows(Wv, " ")]
     else:
         km = model.kernel_part
         lines.append(f"kernel {km.kernel.kind}")
         for v, g in enumerate(km.gammas):
             lines.append(f"gamma {v} " + ("none" if g is None else fmt_float(g)))
         for v, (Av, Zv) in enumerate(zip(km.A, km.training_views)):
-            lines.append(f"A {v} {Av.shape[0]} {Av.shape[1]}")
-            lines.extend(" ".join(fmt_float(x) for x in row) for row in Av)
-            lines.append(f"Z {v} {Zv.shape[0]} {Zv.shape[1]}")
-            lines.extend(" ".join(fmt_float(x) for x in row) for row in Zv)
+            lines += [f"A {v} {Av.shape[0]} {Av.shape[1]}", _format_rows(Av, " ")]
+            lines += [f"Z {v} {Zv.shape[0]} {Zv.shape[1]}", _format_rows(Zv, " ")]
     lines.append("end")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSignal, ParseError
+from .modelio import _parse_rows
 
 TWO_HALF_PI = 3.0 * np.pi / 2.0
 
@@ -112,29 +113,14 @@ def load_xyz_point_cloud(path) -> np.ndarray:
     """Read an n x 3 point cloud from whitespace/comma-separated text.
 
     Lines beginning with '#' (and blank lines) are skipped; any other
-    malformed line raises ParseError with its 1-based line number.
+    line that is not three numbers raises ParseError with its 1-based line
+    number. A file with no data rows raises ParseError too.
     """
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) != 3:
-                raise ParseError(
-                    f"line {lineno}: expected 3 coordinates, got {len(parts)}",
-                    line_number=lineno,
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ParseError(
-                    f"line {lineno}: could not parse coordinates", line_number=lineno
-                ) from exc
-    if not rows:
+        points = _parse_rows(path, fh.read().split("\n"), width=3)
+    if not len(points):
         raise ParseError("file contains no data rows", line_number=None)
-    return np.asarray(rows, dtype=np.float64)
+    return points
 
 
 def gen_planted_linear(n, view_dims, d, seed=0, noise_sigma=0.0):

@@ -352,3 +352,38 @@ def test_eval_rejects_wrong_view_count(tmp_path, trained, synth_out, capsys):
     )
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "m")]) == 1
     assert "got 1 view files, model expects 9" in capsys.readouterr().err
+
+
+def test_synth_rejects_noise_seed(tmp_path, capsys):
+    # the noise streams always derive from the synth seed
+    cfg = write_cfg(
+        tmp_path / "s.json",
+        {"generator": "s_curve", "n": 30, "seed": 1,
+         "noise": {"snr_db": 15.0, "seed": 2}},
+    )
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
+def test_bench_rejects_zero_seeds(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path / "bench.json",
+        {"rates": [0.0], "n": 20, "n_seeds": 0, "hyperparams": {"d": 2}},
+    )
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert "n_seeds" in capsys.readouterr().err
+    assert not (tmp_path / "b" / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("frac", [0, -0.5, 1])
+def test_eval_rejects_train_fraction_outside_unit_interval(tmp_path, frac, capsys):
+    emb = tmp_path / "emb.csv"
+    modelio.save_matrix_csv(emb, np.arange(20.0).reshape(10, 2))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{i % 2}\n" for i in range(10)))
+    cfg = write_cfg(
+        tmp_path / "eval.json",
+        {"embedding": str(emb), "labels": str(labels), "k": 1, "train_fraction": frac},
+    )
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "e")]) == 1
+    assert "train_fraction" in capsys.readouterr().err

@@ -276,3 +276,127 @@ def test_non_finite_hyperparam_raises_parse_error_with_line(tmp_path, name):
     with pytest.raises(ParseError) as err:
         modelio.load_model(path)
     assert err.value.line_number == index + 1
+
+
+# ---------------------------------------------------------------------------
+# model-file blocks and XYZ clouds through the shared row reader
+# ---------------------------------------------------------------------------
+
+def _block_row(lines, header, row):
+    """Index of row `row` of the block whose header starts with `header`."""
+    return next(k for k, line in enumerate(lines) if line.startswith(header)) + 1 + row
+
+
+def _bad_token(lines, i):
+    parts = lines[i].split()
+    lines[i] = " ".join([*parts[:-1], "1.5x"])
+
+
+def _extra_value(lines, i):
+    lines[i] += " 0.5"
+
+
+def _missing_value(lines, i):
+    lines[i] = " ".join(lines[i].split()[:-1])
+
+
+@pytest.mark.parametrize("header", ["A 0 ", "Z 1 "])
+@pytest.mark.parametrize("row", [0, 5])
+@pytest.mark.parametrize("mutate", [_bad_token, _extra_value, _missing_value],
+                         ids=["bad-token", "long-row", "short-row"])
+def test_bad_kernel_block_row_raises_parse_error_at_its_line(tmp_path, header, row, mutate):
+    lines = _kernel_lines(tmp_path, "rbf")
+    index = _block_row(lines, header, row)
+    mutate(lines, index)
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        modelio.load_model(path)
+    assert err.value.line_number == index + 1
+
+
+@pytest.mark.parametrize("row", [0, 2])
+def test_comment_line_inside_w_block_raises_parse_error(tmp_path, row):
+    # model files have no comments: a '#' line is a bad row, not a skipped one
+    lines = _two_view_linear_lines(tmp_path)
+    index = _block_row(lines, "W 1 ", row)
+    lines.insert(index, "# note")
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        modelio.load_model(path)
+    assert err.value.line_number == index + 1
+
+
+def test_blank_lines_inside_a_block_are_skipped(tmp_path):
+    lines = _two_view_linear_lines(tmp_path)
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    want, _ = modelio.load_model(path)
+    lines.insert(_block_row(lines, "W 1 ", 2), "   ")
+    path.write_text("\n".join(lines) + "\n")
+    got, _ = modelio.load_model(path)
+    assert all(np.array_equal(a, b) for a, b in zip(got.W, want.W))
+
+
+def test_truncated_block_raises_parse_error_at_end_of_file(tmp_path):
+    lines = _two_view_linear_lines(tmp_path)
+    lines = lines[:_block_row(lines, "W 1 ", 2)]
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="end of file") as err:
+        modelio.load_model(path)
+    assert err.value.line_number == len(lines)
+
+
+def _reference_model_text(model, record):
+    """Model file text with every number written by format(x, '.17g')."""
+    def num(x):
+        return format(float(x), ".17g")
+
+    def block(key, v, M):
+        return [f"{key} {v} {M.shape[0]} {M.shape[1]}",
+                *(" ".join(num(x) for x in row) for row in M)]
+
+    hp = model.hyperparams
+    lines = [modelio.MODEL_MAGIC, f"mode {model.mode}", f"m {model.m}", f"d {hp.d}"]
+    if model.mode == "kernel":
+        lines.append(f"n_train {model.kernel_part.n_train}")
+    lines += [
+        "view_dims " + " ".join(str(D) for D in model.view_dims),
+        f"c {num(hp.c)}", f"C1 {num(hp.C1)}", f"C2 {num(hp.C2)}",
+        f"max_outer {hp.max_outer}", f"max_inner {hp.max_inner}",
+        f"tol_obj {num(hp.tol_obj)}", f"tol_x {num(hp.tol_x)}", f"seed {hp.seed}",
+        f"standardized {int(record is not None)}",
+    ]
+    if record is not None:
+        for v, (mu, sc) in enumerate(zip(record.means, record.scales)):
+            lines.append(f"mean {v} " + " ".join(num(x) for x in mu))
+            lines.append(f"scale {v} " + " ".join(num(x) for x in sc))
+    if model.mode == "linear":
+        for v, Wv in enumerate(model.W):
+            lines += block("W", v, Wv)
+    else:
+        km = model.kernel_part
+        lines.append(f"kernel {km.kernel.kind}")
+        lines += [f"gamma {v} " + ("none" if g is None else num(g))
+                  for v, g in enumerate(km.gammas)]
+        for v, (Av, Zv) in enumerate(zip(km.A, km.training_views)):
+            lines += block("A", v, Av) + block("Z", v, Zv)
+    return "\n".join(lines + ["end"]) + "\n"
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["linear-standardized", "rbf",
+                                                 "linear-kernel"])
+def test_save_model_text(tmp_path, which):
+    _, _, Zs = gen_planted_linear(12, [3, 4], 2, seed=0, noise_sigma=0.05)
+    dataset, record = standardize_views(validate_dataset(Zs))
+    hp = Hyperparams(d=2, c=0.7, C1=3e-4, C2=1e-3, max_outer=3, tol_x=1e-9, seed=4)
+    model, rec = [
+        (fit(dataset, hp)[0], record),
+        (kernel_fit(dataset, hp, KernelSpec("rbf"))[0], None),
+        (kernel_fit(dataset, hp, KernelSpec("linear"))[0], record),
+    ][which]
+    path = tmp_path / "model.txt"
+    modelio.save_model(path, model, rec)
+    assert path.read_text() == _reference_model_text(model, rec)

@@ -160,3 +160,19 @@ def test_planted_linear_deterministic():
     X2, W2, Z2 = gen_planted_linear(10, [3, 4], 2, seed=11, noise_sigma=0.1)
     assert np.array_equal(X1, X2)
     assert all(np.array_equal(a, b) for a, b in zip(Z1, Z2))
+
+
+def test_load_xyz_rejects_wide_first_row(tmp_path):
+    p = tmp_path / "wide.xyz"
+    p.write_text("0 0 0 1\n1 2 3\n")
+    with pytest.raises(ParseError) as err:
+        load_xyz_point_cloud(p)
+    assert err.value.line_number == 1
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_load_xyz_rejects_file_without_rows(tmp_path, text):
+    p = tmp_path / "empty.xyz"
+    p.write_text(text)
+    with pytest.raises(ParseError, match="no data rows"):
+        load_xyz_point_cloud(p)
