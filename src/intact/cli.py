@@ -1,10 +1,10 @@
 """Command-line surface: synth | train | embed | eval | probe | bench.
 
 Every command takes a JSON config (--config), an output directory
-(--out), a worker cap (--threads), and an optional --seed override.
-Outputs are deterministic functions of (config, seed, threads); manifests
-record the seed. Exit code is 0 only when the command completed and all
-validations passed. INTACT_LOG controls log verbosity.
+(--out), and an optional --seed override. Outputs are deterministic
+functions of (config, seed); manifests record the seed. Exit code is 0
+only when the command completed and all validations passed. INTACT_LOG
+controls log verbosity.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ def _require(cfg: dict, key: str, where: str):
 
 def _hyperparams_from(cfg: dict, where: str, seed_override=None) -> Hyperparams:
     _check_keys(cfg, {f.name for f in dataclasses.fields(Hyperparams)}, where)
+    _require(cfg, "d", where)
     kwargs = dict(cfg)
-    kwargs["d"] = int(_require(cfg, "d", where))
     if seed_override is not None:
-        kwargs["seed"] = int(seed_override)
+        kwargs["seed"] = seed_override
     return Hyperparams(**kwargs)
 
 
@@ -204,9 +204,9 @@ def cmd_train(cfg: dict, args) -> int:
             kind=kcfg.get("kind", "rbf"),
             gamma=None if kcfg.get("gamma") is None else float(kcfg["gamma"]),
         )
-        model, emb, hist = kernel_fit(dataset, hp, spec, threads=args.threads)
+        model, emb, hist = kernel_fit(dataset, hp, spec)
     else:
-        model, emb, hist = fit(dataset, hp, threads=args.threads)
+        model, emb, hist = fit(dataset, hp)
 
     out = _out_dir(args)
     modelio.save_model(out / "model.txt", model, record)
@@ -236,7 +236,7 @@ def cmd_embed(cfg: dict, args) -> int:
 
     model, record = modelio.load_model(model_path)
     rows = _load_model_views(model, record, view_paths)
-    X = embed_examples(rows, model, threads=args.threads)
+    X = embed_examples(rows, model)
     out = _out_dir(args)
     modelio.save_matrix_csv(out / "embedding.csv", X)
     print(f"embedded {X.shape[0]} examples into {X.shape[1]} dims")
@@ -316,6 +316,8 @@ def cmd_probe(cfg: dict, args) -> int:
 
     taus = [float(t) for t in cfg.get("taus", [1e-3, 1e-2])]
     n_probes = int(cfg.get("n_probes", 100))
+    if n_probes < 1:
+        raise ValueError(f"probe: n_probes must be >= 1, got {n_probes}")
     seed = int(cfg.get("seed", 0)) if args.seed is None else int(args.seed)
     rng = np.random.default_rng(seed)
 
@@ -423,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
     return parser
 
@@ -434,9 +435,6 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     cfg_path = Path(args.config)
     if not cfg_path.is_file():
         print(f"error: config file {cfg_path} does not exist", file=sys.stderr)

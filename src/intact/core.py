@@ -7,7 +7,9 @@ read-only) and safe to share across parallel workers.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,8 +46,9 @@ class Hyperparams:
     in Euclidean (Frobenius) norm: an absolute change in the iterate's own
     units, not scaled by its size. A kernel map is measured in feature
     space, sqrt(trace(dA^T K dA)) for an atom change dA. max_outer and
-    max_inner cap the two loops. c, C1, C2 and the tolerances must be
-    finite.
+    max_inner cap the two loops. d, max_outer, max_inner and seed must be
+    integers, and c, C1, C2 and the tolerances finite real numbers; a
+    bool is neither.
     """
 
     d: int
@@ -59,21 +62,36 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("c", "C1", "C2", "tol_obj", "tol_x"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, kind in hyperparam_kinds():
+            value = getattr(self, name)
+            if kind is int:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            elif not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.c <= 0:
             raise NonPositiveScale(f"c must be > 0, got {self.c}")
         if self.C1 < 0 or self.C2 < 0:
             raise ValueError("C1 and C2 must be non-negative")
-        if int(self.d) < 1:
+        if self.d < 1:
             raise ValueError("latent dimension d must be >= 1")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration limits must be >= 1")
         if self.tol_obj <= 0 or self.tol_x <= 0:
             raise ValueError("tolerances must be > 0")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
+
+
+def hyperparam_kinds() -> tuple:
+    """(name, int or float) of each Hyperparams field, in field order; the
+    field annotations are the one record of which fields are integers."""
+    return tuple(
+        (f.name, int if f.type in (int, "int") else float)
+        for f in dataclasses.fields(Hyperparams)
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,7 +45,7 @@ def embed_example(z_new, model: IntactModel, hp: Hyperparams = None, x0=None) ->
     return solve_x(z_new, model, x0, hp).solution
 
 
-def embed_examples(view_rows, model: IntactModel, hp: Hyperparams = None, threads: int = 1):
+def embed_examples(view_rows, model: IntactModel, hp: Hyperparams = None):
     """Embed a batch of examples given as one row matrix per view.
 
     Works in either mode; rows are independent solves from zero.
@@ -53,9 +53,7 @@ def embed_examples(view_rows, model: IntactModel, hp: Hyperparams = None, thread
     hp = hp or model.hyperparams
     G, P, znorm = _example_stacks(view_rows, model)
     X0 = np.zeros((znorm.shape[1], hp.d))
-    X, _, _ = sweep_latents(
-        G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, hp.max_inner, "cauchy", threads
-    )
+    X, _, _ = sweep_latents(G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, hp.max_inner)
     return X
 
 

@@ -222,7 +222,6 @@ def kernel_fit(
     hp: Hyperparams,
     kernel: KernelSpec,
     loss: str = "cauchy",
-    threads: int = 1,
 ):
     """Fit the kernel model on exact kernel features (module docstring),
     starting from the latents of `default_init` and the maps fitted by
@@ -252,7 +251,7 @@ def kernel_fit(
         W, X,
         lambda W: _view_stacks(feats, W)[:2] + (znorm,),
         _map_sweep(feats, offsets, hp, loss),
-        hp, loss, threads,
+        hp, loss,
     )
     km = KernelModel(
         A=tuple(freeze_array(B @ Wv) for B, Wv in zip(to_atoms, W)),
@@ -265,11 +264,11 @@ def kernel_fit(
     return model, IntactEmbedding(X), history
 
 
-def kernel_embed_many(z_rows, km: KernelModel, hp: Hyperparams, threads: int = 1):
+def kernel_embed_many(z_rows, km: KernelModel, hp: Hyperparams):
     """Embed a batch of new multi-view examples (one row matrix per view):
     `embed_examples` on the kernel-mode model of km and hp."""
     model = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)
-    return embed_examples(z_rows, model, hp, threads)
+    return embed_examples(z_rows, model, hp)
 
 
 def kernel_embed(z_new, km: KernelModel, hp: Hyperparams) -> np.ndarray:

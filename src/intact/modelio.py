@@ -20,17 +20,21 @@ import json
 
 import numpy as np
 
-from .core import Hyperparams, IntactModel, StandardizeRecord, freeze_array
+from .core import (
+    Hyperparams,
+    IntactModel,
+    StandardizeRecord,
+    freeze_array,
+    hyperparam_kinds,
+)
 from .errors import GramNotPSD, ParseError
 from .kernel import KernelModel, KernelSpec, gram
 
 MODEL_MAGIC = "intact-model-v1"
 
-# Hyperparameter lines of a model file after view_dims, in file order.
-_HYPERPARAM_LINES = (
-    ("c", float), ("C1", float), ("C2", float), ("max_outer", int),
-    ("max_inner", int), ("tol_obj", float), ("tol_x", float), ("seed", int),
-)
+# Hyperparameter lines of a model file after view_dims, in file order: every
+# Hyperparams field but d, which the header carries.
+_HYPERPARAM_LINES = tuple(kv for kv in hyperparam_kinds() if kv[0] != "d")
 
 
 def fmt_float(x) -> str:

@@ -34,7 +34,6 @@ the batched latent step at n = 1, valued by `_example_objectives`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,7 +360,14 @@ def solve_w(view_data, X, w0, hp: Hyperparams) -> SubproblemResult:
 # batched sweeps and the alternation driver
 # ---------------------------------------------------------------------------
 
-def _latent_chunk(G, P, znorm, X0, c, C2, tol_x, max_inner, loss):
+def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner, loss="cauchy"):
+    """Solve every example's latent subproblem in one batched IRR sweep.
+
+    Rows are independent: each row iterates until it moves by at most
+    tol_x (or max_inner times) and then drops out of the batch. Returns
+    the new latents, each row's inner iteration count, and the squared
+    residuals (m x n) at the new latents.
+    """
     n = X0.shape[0]
     X = X0.copy()
     active = np.ones(n, dtype=bool)
@@ -377,32 +383,6 @@ def _latent_chunk(G, P, znorm, X0, c, C2, tol_x, max_inner, loss):
         iters[idx] = k + 1
         active[idx] = delta > tol_x
     s_final = residual_sq_from_stacks(G, P, znorm, X)
-    return X, iters, s_final
-
-
-def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner, loss="cauchy", threads=1):
-    """Solve every example's latent subproblem (independent across rows).
-
-    Returns the new latents, each row's inner iteration count, and the
-    squared residuals (m x n) at the new latents.
-    """
-    n = znorm.shape[1]
-    if threads <= 1 or n < 2 * threads:
-        return _latent_chunk(G, P, znorm, X0, c, C2, tol_x, max_inner, loss)
-    # row ranges keep every array C-ordered, so sums match threads=1
-    chunks = [slice(ix[0], ix[-1] + 1) for ix in np.array_split(np.arange(n), threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda ix: _latent_chunk(
-                    G, P[:, ix], znorm[:, ix], X0[ix], c, C2, tol_x, max_inner, loss
-                ),
-                chunks,
-            )
-        )
-    X = np.vstack([p[0] for p in parts])
-    iters = np.concatenate([p[1] for p in parts])
-    s_final = np.concatenate([p[2] for p in parts], axis=1)
     return X, iters, s_final
 
 
@@ -485,7 +465,7 @@ def _map_sweep(views, offsets, hp: Hyperparams, loss: str):
     return sweep
 
 
-def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy", threads=1):
+def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy"):
     """Alternate latent and map sweeps until the objective stalls.
 
     `stacks(maps)` returns the (G, P, znorm) stacks of the maps and
@@ -511,7 +491,7 @@ def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy", thread
         if it > 0:
             maps, X, G, P = balance_gauge(maps, X, G, P, hp)
         X, x_iters, s = sweep_latents(
-            G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss, threads
+            G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss
         )
         record("x-update", _objective(s, G, X, hp, loss))
 
@@ -527,7 +507,7 @@ def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy", thread
         J_prev = J
 
     X, x_iters, s = sweep_latents(
-        G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss, threads
+        G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss
     )
     record("x-update", _objective(s, G, X, hp, loss))
     inner.append((int(np.max(x_iters)), 0))
@@ -593,13 +573,7 @@ def _ridge_maps(X, views, C1: float) -> list:
     return [_spd_solve(H, X.T @ np.asarray(Z)).T for Z in views]
 
 
-def fit(
-    dataset: MultiViewDataset,
-    hp: Hyperparams,
-    init=None,
-    loss: str = "cauchy",
-    threads: int = 1,
-):
+def fit(dataset: MultiViewDataset, hp: Hyperparams, init=None, loss: str = "cauchy"):
     """Fit the linear model: initialization and shape checks around one
     call of `alternate` with explicit-map stacks and `fit_view_map`.
 
@@ -608,8 +582,8 @@ def fit(
     per-example minimizer for the returned maps, which makes
     out-of-sample embedding of a training example reproduce its stored
     coordinate. `loss="l2"` swaps in unit weights and squared error,
-    giving the alternating ridge baseline with identical structure.
-    `threads` splits the latent sweep's rows across worker threads.
+    giving the alternating ridge baseline with identical structure. The
+    result depends only on (dataset, hp, init, loss).
     """
     if loss not in ("cauchy", "l2"):
         raise ValueError(f"unknown loss {loss!r}")
@@ -634,7 +608,7 @@ def fit(
         W, X,
         lambda W: _view_stacks(views, W),
         _map_sweep(views, [0.0] * len(views), hp, loss),
-        hp, loss, threads,
+        hp, loss,
     )
     model = IntactModel(
         mode="linear",

@@ -32,6 +32,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be a number or inf, got {self.snr_db}")
         if not 0.0 < self.window_fraction <= 1.0:
             raise ValueError("window_fraction must lie in (0, 1]")
         if self.copies_per_base < 1:

@@ -237,16 +237,14 @@ def test_10_cli_determinism(tmp_path):
     for tag in ("a", "b"):
         data = tmp_path / f"data_{tag}"
         run = tmp_path / f"run_{tag}"
-        assert main(["synth", "--config", str(synth_cfg), "--out", str(data),
-                     "--threads", "1"]) == 0
+        assert main(["synth", "--config", str(synth_cfg), "--out", str(data)]) == 0
         train_cfg = tmp_path / f"train_{tag}.json"
         train_cfg.write_text(json.dumps(
             {"manifest": str(data / "manifest.json"),
              "hyperparams": {"d": 3, "C1": 1e-4, "C2": 1e-4, "seed": 9,
                               "max_outer": 40}}
         ))
-        assert main(["train", "--config", str(train_cfg), "--out", str(run),
-                     "--threads", "1"]) == 0
+        assert main(["train", "--config", str(train_cfg), "--out", str(run)]) == 0
         outs.append((data, run))
     (data_a, run_a), (data_b, run_b) = outs
     same = all(

@@ -387,3 +387,42 @@ def test_eval_rejects_train_fraction_outside_unit_interval(tmp_path, frac, capsy
     )
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "e")]) == 1
     assert "train_fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("max_outer", 3.0), ("seed", 1.0)])
+def test_train_rejects_float_integer_hyperparams(tmp_path, synth_out, capsys, key, value):
+    cfg = write_cfg(
+        tmp_path / "bad.json",
+        {"manifest": str(synth_out / "manifest.json"),
+         "hyperparams": {"d": 3, key: value}},
+    )
+    out = tmp_path / "x"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not (out / "model.txt").exists()
+
+
+@pytest.mark.parametrize("snr", [float("nan"), float("-inf")])
+def test_synth_rejects_nan_and_negative_infinite_snr(tmp_path, capsys, snr):
+    cfg = write_cfg(
+        tmp_path / "s.json",
+        {"generator": "s_curve", "n": 30, "seed": 1, "noise": {"snr_db": snr}},
+    )
+    out = tmp_path / "s"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 1
+    assert "snr_db" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_probes", [0, -3])
+def test_probe_rejects_non_positive_n_probes(tmp_path, trained, synth_out, capsys, n_probes):
+    cfg = write_cfg(
+        tmp_path / "probe.json",
+        {"model": str(trained / "model.txt"),
+         "manifest": str(synth_out / "manifest.json"), "n_probes": n_probes},
+    )
+    out = tmp_path / "probe"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
+    assert "n_probes" in capsys.readouterr().err
+    assert not (out / "probes.csv").exists()

@@ -127,3 +127,18 @@ def test_hyperparams_reject_non_finite(name, value):
 def test_kernel_spec_rejects_bad_rbf_gamma(gamma):
     with pytest.raises(ValueError, match="gamma"):
         KernelSpec("rbf", gamma)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("max_outer", 3.0), ("seed", 1.0), ("d", 2.5), ("max_inner", True),
+     ("d", True), ("c", "1"), ("C1", True), ("tol_x", "1e-8")],
+)
+def test_hyperparams_reject_wrong_types(name, value):
+    with pytest.raises(ValueError, match=name):
+        Hyperparams(**{"d": 2, name: value})
+
+
+def test_hyperparams_accept_numpy_and_int_numbers():
+    hp = Hyperparams(d=np.int64(2), c=1, C1=np.float32(0.5), seed=np.uint64(7))
+    assert hp.d == 2 and hp.c == 1 and hp.seed == 7

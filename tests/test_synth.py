@@ -176,3 +176,9 @@ def test_load_xyz_rejects_file_without_rows(tmp_path, text):
     p.write_text(text)
     with pytest.raises(ParseError, match="no data rows"):
         load_xyz_point_cloud(p)
+
+
+@pytest.mark.parametrize("snr", [float("nan"), float("-inf")])
+def test_noise_spec_rejects_nan_and_negative_infinite_snr(snr):
+    with pytest.raises(ValueError, match="snr_db"):
+        NoiseSpec(snr_db=snr)
