@@ -62,7 +62,7 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        for name, kind in hyperparam_kinds():
+        for name, kind in HYPERPARAM_KINDS:
             value = getattr(self, name)
             if kind is int:
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -85,13 +85,12 @@ class Hyperparams:
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
 
-def hyperparam_kinds() -> tuple:
-    """(name, int or float) of each Hyperparams field, in field order; the
-    field annotations are the one record of which fields are integers."""
-    return tuple(
-        (f.name, int if f.type in (int, "int") else float)
-        for f in dataclasses.fields(Hyperparams)
-    )
+# (name, int or float) of each Hyperparams field, in field order: the field
+# annotations are the one record of which fields are integers.
+HYPERPARAM_KINDS = tuple(
+    (f.name, int if f.type in (int, "int") else float)
+    for f in dataclasses.fields(Hyperparams)
+)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,11 +21,11 @@ import json
 import numpy as np
 
 from .core import (
+    HYPERPARAM_KINDS,
     Hyperparams,
     IntactModel,
     StandardizeRecord,
     freeze_array,
-    hyperparam_kinds,
 )
 from .errors import GramNotPSD, ParseError
 from .kernel import KernelModel, KernelSpec, gram
@@ -34,7 +34,7 @@ MODEL_MAGIC = "intact-model-v1"
 
 # Hyperparameter lines of a model file after view_dims, in file order: every
 # Hyperparams field but d, which the header carries.
-_HYPERPARAM_LINES = tuple(kv for kv in hyperparam_kinds() if kv[0] != "d")
+_HYPERPARAM_LINES = tuple(kv for kv in HYPERPARAM_KINDS if kv[0] != "d")
 
 
 def fmt_float(x) -> str:
