@@ -14,6 +14,7 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -60,6 +61,21 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _integer(value, where: str, key: str) -> int:
+    """An integer config value: a JSON integer, not a fraction or a bool
+    (the rule `Hyperparams` applies to its integer fields)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{where}: {key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _seed(cfg: dict, args, where: str) -> int:
+    """The --seed override, else the config's integer seed (default 0)."""
+    if args.seed is not None:
+        return args.seed
+    return _integer(cfg.get("seed", 0), where, "seed")
+
+
 def _hyperparams_from(cfg: dict, where: str, seed_override=None) -> Hyperparams:
     _check_keys(cfg, {f.name for f in dataclasses.fields(Hyperparams)}, where)
     _require(cfg, "d", where)
@@ -76,7 +92,9 @@ def _noise_from(cfg: dict, where: str, seed: int) -> NoiseSpec:
     return NoiseSpec(
         snr_db=snr,
         window_fraction=float(cfg.get("window_fraction", 0.3)),
-        copies_per_base=int(cfg.get("copies_per_base", 3)),
+        copies_per_base=_integer(
+            cfg.get("copies_per_base", 3), where, "copies_per_base"
+        ),
         seed=seed,
     )
 
@@ -133,10 +151,10 @@ def cmd_synth(cfg: dict, args) -> int:
     generator = cfg.get("generator", "s_curve")
     if generator not in ("s_curve", "xyz"):
         raise ValueError(f"synth: unknown generator {generator!r}")
-    seed = int(cfg.get("seed", 0)) if args.seed is None else int(args.seed)
+    seed = _seed(cfg, args, "synth")
 
     if generator == "s_curve":
-        n = int(_require(cfg, "n", "synth"))
+        n = _integer(_require(cfg, "n", "synth"), "synth", "n")
         points = gen_s_curve(n, seed=seed)
     else:
         xyz = Path(_require(cfg, "xyz_path", "synth"))
@@ -283,11 +301,11 @@ def cmd_eval(cfg: dict, args) -> int:
             raise DimensionMismatch(
                 f"{labels.shape[0]} labels for {X_est.shape[0]} embedded rows"
             )
-        k = int(cfg.get("k", 3))
+        k = _integer(cfg.get("k", 3), "eval", "k")
         frac = float(cfg.get("train_fraction", 0.5))
         if not 0.0 < frac < 1.0:
             raise ValueError(f"eval: train_fraction must lie in (0, 1), got {frac}")
-        seed = int(cfg.get("seed", 0)) if args.seed is None else int(args.seed)
+        seed = _seed(cfg, args, "eval")
         rng = np.random.default_rng(seed)
         perm = rng.permutation(X_est.shape[0])
         n_train = max(1, int(frac * X_est.shape[0]))
@@ -315,10 +333,10 @@ def cmd_probe(cfg: dict, args) -> int:
     rows = _load_model_views(model, record, view_paths)
 
     taus = [float(t) for t in cfg.get("taus", [1e-3, 1e-2])]
-    n_probes = int(cfg.get("n_probes", 100))
+    n_probes = _integer(cfg.get("n_probes", 100), "probe", "n_probes")
     if n_probes < 1:
         raise ValueError(f"probe: n_probes must be >= 1, got {n_probes}")
-    seed = int(cfg.get("seed", 0)) if args.seed is None else int(args.seed)
+    seed = _seed(cfg, args, "probe")
     rng = np.random.default_rng(seed)
 
     reports = []
@@ -364,13 +382,16 @@ def cmd_bench(cfg: dict, args) -> int:
         if not 0.0 <= r < 0.5:
             raise ValueError(f"bench: contamination rate {r} must lie in [0, 0.5)")
     magnitude = float(cfg.get("magnitude", 10.0))
-    n = int(cfg.get("n", 150))
-    view_dims = [int(D) for D in cfg.get("view_dims", [6, 6, 6])]
+    n = _integer(cfg.get("n", 150), "bench", "n")
+    view_dims = [
+        _integer(D, "bench", f"view_dims[{i}]")
+        for i, D in enumerate(cfg.get("view_dims", [6, 6, 6]))
+    ]
     noise_sigma = float(cfg.get("noise_sigma", 0.05))
-    n_seeds = int(cfg.get("n_seeds", 10))
+    n_seeds = _integer(cfg.get("n_seeds", 10), "bench", "n_seeds")
     if n_seeds < 1:
         raise ValueError(f"bench: n_seeds must be >= 1, got {n_seeds}")
-    base_seed = 0 if args.seed is None else int(args.seed)
+    base_seed = 0 if args.seed is None else args.seed
     hp_cfg = dict(cfg.get("hyperparams") or {"d": 3, "C1": 1e-3, "C2": 1e-3})
 
     lines = ["rate,cauchy_error,l2_error,ratio"]

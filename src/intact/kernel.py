@@ -11,13 +11,14 @@ map norms reduce to Gram-matrix algebra:
 Training is the linear fitter (`optimizer.alternate`, `fit_view_map`) on
 exact features Phi_v = U_r Lambda_r^{1/2} from one eigendecomposition of
 each Gram (eigenvalues above FEATURE_RCOND of the largest; the r = n
-Nystrom map), so K_v = Phi_v Phi_v^T and maps W_v = Phi_v^T A_v. The row
-norms are diag(K_v), and the map solver adds the per-row offset
-diag(K_v) - ||Phi_v,i||^2 to its residuals. The model stores
-A_v = U_r Lambda_r^{-1/2} W_v; with a linear kernel the iterates coincide
-with the linear model's up to round-off. A fitted model builds its stack
-G_v = A_v^T K_v A_v once, on first use (`KernelModel.G`), and everything
-that reads the model's maps reads it.
+Nystrom map), so K_v = Phi_v Phi_v^T and maps W_v = Phi_v^T A_v. The
+features are kept in one zero-padded (m x n x max r_v) stack, which the
+map sweep reads as is. Both sweeps take diag(K_v) as the row norms, so
+the residuals they read from the stacks are exact in feature space. The
+model stores A_v = U_r Lambda_r^{-1/2} W_v; with a linear kernel the
+iterates coincide with the linear model's up to round-off. A fitted
+model builds its stack G_v = A_v^T K_v A_v once, on first use
+(`KernelModel.G`), and everything that reads the model's maps reads it.
 """
 
 from __future__ import annotations
@@ -217,6 +218,27 @@ def kernel_alternation_objective(km_A, grams, X, hp: Hyperparams, loss="cauchy")
     return _objective(s, G, X, hp, loss)
 
 
+def _features(views, kernel: KernelSpec):
+    """Per-view gammas and PSD-checked Grams, the exact features
+    Phi_v = U_r Lambda_r^{1/2} written into one zero-padded
+    (m x n x max r_v) stack, and the maps to atoms U_r Lambda_r^{-1/2}
+    (n x r_v each, so r_v is their width)."""
+    gammas, grams, to_atoms, roots = [], [], [], []
+    for Z in views:
+        g = None if kernel.kind == "linear" else kernel.gamma or median_heuristic_gamma(Z)
+        K, lam, U = _psd_spectrum(cross_gram(Z, Z, kernel.kind, g), vectors=True)
+        keep = lam > FEATURE_RCOND * lam[-1]
+        gammas.append(g)
+        grams.append(freeze_array(K))
+        to_atoms.append(U[:, keep])
+        roots.append(np.sqrt(lam[keep]))
+    Phi = np.zeros((len(views), len(views[0]), max(len(r) for r in roots)))
+    for F, B, root in zip(Phi, to_atoms, roots):
+        np.multiply(B, root, out=F[:, : len(root)])
+        B /= root
+    return gammas, grams, Phi, to_atoms
+
+
 def kernel_fit(
     dataset: MultiViewDataset,
     hp: Hyperparams,
@@ -231,18 +253,9 @@ def kernel_fit(
     if loss not in ("cauchy", "l2"):
         raise ValueError(f"unknown loss {loss!r}")
     views = dataset.views
-    gammas, grams, feats, to_atoms = [], [], [], []
-    for Z in views:
-        g = None if kernel.kind == "linear" else kernel.gamma or median_heuristic_gamma(Z)
-        K, lam, U = _psd_spectrum(cross_gram(Z, Z, kernel.kind, g), vectors=True)
-        keep = lam > FEATURE_RCOND * lam[-1]
-        root = np.sqrt(lam[keep])
-        gammas.append(g)
-        grams.append(freeze_array(K))
-        feats.append(U[:, keep] * root)
-        to_atoms.append(U[:, keep] / root)
+    gammas, grams, Phi, to_atoms = _features(views, kernel)
+    feats = [F[:, : B.shape[1]] for F, B in zip(Phi, to_atoms)]
     znorm = np.stack([np.diag(K) for K in grams])
-    offsets = znorm - np.stack([np.einsum("ij,ij->i", F, F) for F in feats])
 
     X = default_init(views, hp)[0]
     W = _ridge_maps(X, feats, hp.C1)
@@ -250,7 +263,7 @@ def kernel_fit(
     W, X, history = alternate(
         W, X,
         lambda W: _view_stacks(feats, W)[:2] + (znorm,),
-        _map_sweep(feats, offsets, hp, loss),
+        _map_sweep(Phi, znorm, hp, loss),
         hp, loss,
     )
     km = KernelModel(

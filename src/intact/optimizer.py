@@ -1,10 +1,12 @@
 """Alternating reweighted-residual training of the intact-space model.
 
 One driver, `alternate`, fits both the linear and the kernel model. Each
-outer iteration runs one sweep of per-example latent solves followed by
-one sweep of per-view map solves. Every solve is a fixed-point
+outer iteration runs one latent sweep (`sweep_latents`, every example's
+latent solved in one batch) followed by one map sweep (`fit_view_map`,
+every view's map solved in one batch). Every solve is a fixed-point
 iteration: residual-dependent weights followed by a closed-form ridge
-system. Both sweeps decrease the alternation objective
+system, and both sweeps read their residuals through
+`residual_sq_from_stacks`. Both sweeps decrease the alternation objective
 
     (1/(m n)) sum_{v,i} log(1 + ||z_i^v - W_v x_i||^2 / c^2)
         + (C1/m) sum_v ||W_v||_F^2 + (C2/n) sum_i ||x_i||^2
@@ -26,9 +28,11 @@ code, through `_example_stacks` (a kernel model builds its G once).
 Residuals, weights, every objective, reconstruction errors, map norms and
 the map penalty ||W_v||_F^2 = trace(G_v) follow from them, in both modes.
 Kernel mode (kernel.py) runs the driver and the one map solver,
-`fit_view_map`, on exact kernel features. The per-example functions
-(`objective_x`, `grad_x`, `update_x_once`, `solve_x`, `majorant_*`) are
-the batched latent step at n = 1, valued by `_example_objectives`.
+`fit_view_map`, on exact kernel features, with diag K_v as row norms.
+The per-example functions (`objective_x`, `grad_x`, `update_x_once`,
+`solve_x`, `majorant_*`) are the batched latent step at n = 1, valued by
+`_example_objectives`; `update_w_once` and `solve_w` are the map sweep
+at m = 1.
 `objective_full` keeps the sum-normalized regularizers for standalone use.
 """
 
@@ -340,7 +344,8 @@ def update_w_once(view_data, X, w_current, hp: Hyperparams) -> np.ndarray:
         raise ShapeMismatch(
             f"inconsistent shapes: Z {Z.shape}, X {X.shape}, W {W.shape}"
         )
-    return fit_view_map(Z, X, W, hp.c, hp.C1, hp.tol_x, 1)[0]
+    znorm = np.einsum("ij,ij->i", Z, Z)[None]
+    return fit_view_map(Z[None], znorm, X, W[None], hp.c, hp.C1, hp.tol_x, 1)[0][0]
 
 
 def solve_w(view_data, X, w0, hp: Hyperparams) -> SubproblemResult:
@@ -386,22 +391,45 @@ def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner, loss="cauchy"):
     return X, iters, s_final
 
 
-def fit_view_map(Z, X, W0, c, C1, tol_x, max_inner, loss="cauchy", offset=0.0):
-    """Reweighted-residual solve of one view map against fixed latents;
-    `offset` (scalar or per row) is added to every squared residual."""
-    n, d = X.shape
-    W = W0.copy()
+def fit_view_map(Z, znorm, X, W0, c, C1, tol_x, max_inner, loss="cauchy"):
+    """Solve every view's map subproblem in one stacked IRR sweep, the
+    map-side twin of `sweep_latents`.
+
+    Z (m x n x D) holds the views zero-padded to the widest, znorm (m x n)
+    their squared row norms and W0 (m x D x d) the starting maps, whose
+    padded rows must be zero. Each iteration weights the residuals
+    `residual_sq_from_stacks` reads from G_v = W_v^T W_v and P_v = Z_v W_v
+    and solves W_v = (sum_i q_i z_i x_i^T)(sum_i q_i x_i x_i^T + n C1 I)^-1
+    for all views at once. A view whose map moves by at most tol_x
+    (Frobenius), or has iterated max_inner times, leaves the batch.
+    Padded columns of Z give zero right-hand sides, so padded map rows
+    stay exactly 0, and znorm may carry more than ||Z_v,i||^2 (kernel
+    mode's diag K_v). Returns the maps (m x D x d) and each view's
+    iteration count.
+    """
+    m, n, d = Z.shape[0], X.shape[0], X.shape[1]
+    W = np.array(W0, dtype=np.float64)
     ridge = n * C1 * np.eye(d)
-    iterations = 0
+    iters = np.zeros(m, dtype=np.int64)
+    idx = np.arange(m)
+    Za, za, Wa = Z, znorm, W
     for k in range(max_inner):
-        QX = X * weight_sq(_view_residual_sq(Z, X, W) + offset, c, loss)[:, None]
-        W_new = _spd_solve(X.T @ QX + ridge, QX.T @ Z).T
-        iterations = k + 1
-        delta = float(np.linalg.norm(W_new - W))
-        W = W_new
-        if delta <= tol_x:
-            break
-    return W, iterations
+        s = residual_sq_from_stacks(Wa.transpose(0, 2, 1) @ Wa, Za @ Wa, za, X)
+        QX = weight_sq(s, c, loss)[:, :, None] * X
+        W_new = _spd_solve(X.T @ QX + ridge, QX.transpose(0, 2, 1) @ Za)
+        W_new = np.ascontiguousarray(W_new.transpose(0, 2, 1))
+        dW = W_new - Wa
+        moved = np.sqrt(np.einsum("vij,vij->v", dW, dW)) > tol_x
+        W[idx] = W_new
+        iters[idx] = k + 1
+        if not moved.all():
+            idx = idx[moved]
+            if idx.size == 0:
+                break
+            Za, za = Za[moved], za[moved]
+            W_new = W_new[moved]
+        Wa = W_new
+    return W, iters
 
 
 def _audit_descent(prev: float, new: float):
@@ -451,18 +479,35 @@ def balance_gauge(maps, X, G, P, hp: Hyperparams):
     return [M @ T_inv for M in maps], X @ T, T_inv @ G @ T_inv, P @ T_inv
 
 
-def _map_sweep(views, offsets, hp: Hyperparams, loss: str):
-    """A map sweep for `alternate`: each view's map in turn solved by
-    `fit_view_map` with that view's residual offset."""
+def _map_sweep(Z, znorm, hp: Hyperparams, loss: str):
+    """A map sweep for `alternate`: every view's map solved by one
+    `fit_view_map` call.
+
+    Z is the fit's views zero-padded once into an (m x n x max D_v) stack
+    (`_pad_views`), which costs m n max_v D_v floats; znorm (m x n) holds
+    the squared row norms the residuals read. The sweep pads the maps it
+    is given to the stack's width and returns them unpadded, so the widths
+    come from the maps.
+    """
 
     def sweep(X, maps):
-        out = [
-            fit_view_map(Z, X, W, hp.c, hp.C1, hp.tol_x, hp.max_inner, loss, off)
-            for Z, off, W in zip(views, offsets, maps)
-        ]
-        return [M for M, _ in out], max(k for _, k in out)
+        W0 = np.zeros((Z.shape[0], Z.shape[2], X.shape[1]))
+        for v, M in enumerate(maps):
+            W0[v, : len(M)] = M
+        W, iters = fit_view_map(
+            Z, znorm, X, W0, hp.c, hp.C1, hp.tol_x, hp.max_inner, loss
+        )
+        return [W[v, : len(M)] for v, M in enumerate(maps)], int(iters.max())
 
     return sweep
+
+
+def _pad_views(views) -> np.ndarray:
+    """The views as one zero-padded (m x n x max D_v) stack."""
+    Z = np.zeros((len(views), len(views[0]), max(V.shape[1] for V in views)))
+    for v, V in enumerate(views):
+        Z[v, :, : V.shape[1]] = V
+    return Z
 
 
 def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy"):
@@ -604,10 +649,11 @@ def fit(dataset: MultiViewDataset, hp: Hyperparams, init=None, loss: str = "cauc
     if X.shape != (n, d):
         raise ShapeMismatch(f"initial embedding shape {X.shape}, expected ({n}, {d})")
 
+    znorm = np.stack([np.einsum("ij,ij->i", Z, Z) for Z in views])
     W, X, history = alternate(
         W, X,
         lambda W: _view_stacks(views, W),
-        _map_sweep(views, [0.0] * len(views), hp, loss),
+        _map_sweep(_pad_views(views), znorm, hp, loss),
         hp, loss,
     )
     model = IntactModel(

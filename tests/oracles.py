@@ -115,6 +115,27 @@ def load_matrix_csv_lines(path):
     return np.asarray(rows, dtype=np.float64)
 
 
+def fit_view_map(Z, X, W0, c, C1, tol_x, max_inner, loss="cauchy", offset=0.0):
+    """Reweighted solve of one view map against fixed latents, one view at
+    a time: residuals formed explicitly as Z - X W^T, plus `offset` (scalar
+    or per row), weights at the current map, then
+    W = (Z^T Q X)(X^T Q X + n C1 I)^{-1}, until the map moves by at most
+    tol_x (Frobenius). Returns (W, iterations)."""
+    n, d = X.shape
+    W = W0.copy()
+    for k in range(max_inner):
+        R = Z - X @ W.T
+        s = np.sum(R * R, axis=1) + offset
+        q = np.ones(n) if loss == "l2" else 1.0 / (c * c + s)
+        QX = X * q[:, None]
+        W_new = np.linalg.solve(X.T @ QX + n * C1 * np.eye(d), QX.T @ Z).T
+        delta = float(np.linalg.norm(W_new - W))
+        W = W_new
+        if delta <= tol_x:
+            return W, k + 1
+    return W, max_inner
+
+
 def _atom_stacks(A_list, grams):
     """Stacks in atom coordinates: A^T K A, K A and diag(K) per view."""
     KA = [K @ A for A, K in zip(A_list, grams)]

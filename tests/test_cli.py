@@ -426,3 +426,59 @@ def test_probe_rejects_non_positive_n_probes(tmp_path, trained, synth_out, capsy
     assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
     assert "n_probes" in capsys.readouterr().err
     assert not (out / "probes.csv").exists()
+
+
+def assert_rejected(cfg, command, out, key, capsys):
+    """The command exits 1 with one `error:` line naming the key, and
+    writes nothing."""
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, patch",
+    [("n", {"n": 40.7}), ("seed", {"seed": 1.9}), ("n", {"n": True}),
+     ("copies_per_base", {"noise": {"snr_db": 20.0, "copies_per_base": 2.6}})],
+)
+def test_synth_rejects_non_integral_integer_keys(tmp_path, capsys, key, patch):
+    cfg = write_cfg(tmp_path / "s.json", {"generator": "s_curve", "n": 40, "seed": 1, **patch})
+    assert_rejected(cfg, "synth", tmp_path / "s", key, capsys)
+
+
+@pytest.mark.parametrize("key, value", [("k", 2.5), ("seed", 1.5)])
+def test_eval_rejects_non_integral_integer_keys(tmp_path, capsys, key, value):
+    emb = tmp_path / "emb.csv"
+    modelio.save_matrix_csv(emb, np.arange(20.0).reshape(10, 2))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{i % 2}\n" for i in range(10)))
+    cfg = write_cfg(
+        tmp_path / "eval.json",
+        {"embedding": str(emb), "labels": str(labels), key: value},
+    )
+    assert_rejected(cfg, "eval", tmp_path / "e", key, capsys)
+
+
+@pytest.mark.parametrize("key, value", [("n_probes", 2.5), ("seed", 0.5)])
+def test_probe_rejects_non_integral_integer_keys(tmp_path, trained, synth_out, capsys, key, value):
+    cfg = write_cfg(
+        tmp_path / "probe.json",
+        {"model": str(trained / "model.txt"),
+         "manifest": str(synth_out / "manifest.json"), "n_probes": 2, key: value},
+    )
+    assert_rejected(cfg, "probe", tmp_path / "probe", key, capsys)
+
+
+@pytest.mark.parametrize(
+    "key, patch",
+    [("n", {"n": 60.5}), ("n_seeds", {"n_seeds": 1.5}),
+     ("view_dims[1]", {"view_dims": [4, 4.5]})],
+)
+def test_bench_rejects_non_integral_integer_keys(tmp_path, capsys, key, patch):
+    cfg = write_cfg(
+        tmp_path / "bench.json",
+        {"rates": [0.0], "n": 40, "view_dims": [4, 4], "n_seeds": 1,
+         "hyperparams": {"d": 2}, **patch},
+    )
+    assert_rejected(cfg, "bench", tmp_path / "b", key, capsys)
