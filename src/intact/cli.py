@@ -69,6 +69,23 @@ def _integer(value, where: str, key: str) -> int:
     return int(value)
 
 
+_JSON_KINDS = {list: "array", dict: "object"}
+
+
+def _container(cfg: dict, key: str, kind: type, where: str, default=None):
+    """cfg[key] when it is a JSON array (kind list) or object (kind dict),
+    default when the key is absent or null; any other value is rejected
+    naming the key, as `_integer` rejects non-integers."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"{where}: {key} must be a JSON {_JSON_KINDS[kind]}, got {value!r}"
+        )
+    return value
+
+
 def _seed(cfg: dict, args, where: str) -> int:
     """The --seed override, else the config's integer seed (default 0)."""
     if args.seed is not None:
@@ -162,7 +179,7 @@ def cmd_synth(cfg: dict, args) -> int:
         points = load_xyz_point_cloud(xyz)
     base_views = project_to_planes(points)
 
-    noise_cfg = cfg.get("noise")
+    noise_cfg = _container(cfg, "noise", dict, "synth")
     if noise_cfg is not None:
         spec = _noise_from(noise_cfg, "synth.noise", seed)
         views = make_noisy_views(base_views, spec)
@@ -204,9 +221,13 @@ def cmd_train(cfg: dict, args) -> int:
     mode = cfg.get("mode", "linear")
     if mode not in ("linear", "kernel"):
         raise ValueError(f"train: unknown mode {mode!r}")
+    _require(cfg, "hyperparams", "train")
     hp = _hyperparams_from(
-        dict(_require(cfg, "hyperparams", "train")), "train.hyperparams", args.seed
+        dict(_container(cfg, "hyperparams", dict, "train")),
+        "train.hyperparams", args.seed,
     )
+    kcfg = _container(cfg, "kernel", dict, "train", {})
+    _check_keys(kcfg, {"kind", "gamma"}, "train.kernel")
     view_paths = _resolve_view_paths(cfg, Path("."), "train")
     _check_paths_exist(view_paths, "train")
 
@@ -216,8 +237,6 @@ def cmd_train(cfg: dict, args) -> int:
         dataset, record = standardize_views(dataset)
 
     if mode == "kernel":
-        kcfg = dict(cfg.get("kernel") or {})
-        _check_keys(kcfg, {"kind", "gamma"}, "train.kernel")
         spec = KernelSpec(
             kind=kcfg.get("kind", "rbf"),
             gamma=None if kcfg.get("gamma") is None else float(kcfg["gamma"]),
@@ -233,7 +252,8 @@ def cmd_train(cfg: dict, args) -> int:
     final = hist.objective_trace[-1][1]
     print(
         f"trained {mode} model: objective {final:.6g}, "
-        f"{len(hist.objective_trace)} half-steps, stop={hist.stop_reason}"
+        f"{len(hist.objective_trace)} half-steps, "
+        f"{hist.extrapolations} extrapolations, stop={hist.stop_reason}"
     )
     if hist.stop_reason == "max_iter":
         print(
@@ -332,7 +352,7 @@ def cmd_probe(cfg: dict, args) -> int:
     model, record = modelio.load_model(model_path)
     rows = _load_model_views(model, record, view_paths)
 
-    taus = [float(t) for t in cfg.get("taus", [1e-3, 1e-2])]
+    taus = [float(t) for t in _container(cfg, "taus", list, "probe", [1e-3, 1e-2])]
     n_probes = _integer(cfg.get("n_probes", 100), "probe", "n_probes")
     if n_probes < 1:
         raise ValueError(f"probe: n_probes must be >= 1, got {n_probes}")
@@ -377,7 +397,9 @@ def cmd_bench(cfg: dict, args) -> int:
          "hyperparams"},
         "bench",
     )
-    rates = [float(r) for r in cfg.get("rates", [0.0, 0.1, 0.2, 0.3])]
+    rates = [
+        float(r) for r in _container(cfg, "rates", list, "bench", [0.0, 0.1, 0.2, 0.3])
+    ]
     for r in rates:
         if not 0.0 <= r < 0.5:
             raise ValueError(f"bench: contamination rate {r} must lie in [0, 0.5)")
@@ -385,14 +407,16 @@ def cmd_bench(cfg: dict, args) -> int:
     n = _integer(cfg.get("n", 150), "bench", "n")
     view_dims = [
         _integer(D, "bench", f"view_dims[{i}]")
-        for i, D in enumerate(cfg.get("view_dims", [6, 6, 6]))
+        for i, D in enumerate(_container(cfg, "view_dims", list, "bench", [6, 6, 6]))
     ]
     noise_sigma = float(cfg.get("noise_sigma", 0.05))
     n_seeds = _integer(cfg.get("n_seeds", 10), "bench", "n_seeds")
     if n_seeds < 1:
         raise ValueError(f"bench: n_seeds must be >= 1, got {n_seeds}")
     base_seed = 0 if args.seed is None else args.seed
-    hp_cfg = dict(cfg.get("hyperparams") or {"d": 3, "C1": 1e-3, "C2": 1e-3})
+    hp_cfg = dict(
+        _container(cfg, "hyperparams", dict, "bench") or {"d": 3, "C1": 1e-3, "C2": 1e-3}
+    )
 
     lines = ["rate,cauchy_error,l2_error,ratio"]
     print(f"{'rate':>5} {'cauchy_error':>13} {'l2_error':>13} {'ratio':>9}")

@@ -253,15 +253,18 @@ class FitHistory:
     values are non-increasing up to round-off, which `monotone_within`
     audits. From the second outer iteration on, an "x-update" value also
     includes the decrease of the gauge step that precedes the latent sweep
-    (`optimizer.balance_gauge`). `stop_reason` is "objective_tol" when an
-    outer iteration changed the objective by at most tol_obj (relative),
-    and "max_iter" when max_outer iterations ran out first.
+    (`optimizer.balance_gauge`) and of an accepted Anderson extrapolation
+    that follows it. `extrapolations` counts the accepted extrapolations
+    that differ from the plain step. `stop_reason` is "objective_tol" when
+    an outer iteration changed the objective by at most tol_obj
+    (relative), and "max_iter" when max_outer iterations ran out first.
     """
 
     objective_trace: tuple
     inner_iterations: tuple
     converged: bool
     stop_reason: str
+    extrapolations: int = 0
 
     def values(self) -> np.ndarray:
         return np.array([val for _, val in self.objective_trace], dtype=np.float64)

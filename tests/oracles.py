@@ -1,9 +1,11 @@
 """Independent reference computations the implementation is tested against.
 
 Everything here is deliberately naive (plain loops, math.log, dense grids)
-and shares no code path with the library, except `kernel_fit_atoms`: it
-runs the library's alternation driver, so that its outer iterations can
-be compared one to one, with a map solver and stacks of its own.
+and shares no code path with the library, except two drivers.
+`kernel_fit_atoms` runs the library's alternation driver, so that its
+outer iterations can be compared one to one, with a map solver and stacks
+of its own. `alternate_plain` is that driver without its extrapolation
+step, on the library's sweeps, gauge step and objective.
 """
 
 import math
@@ -193,3 +195,81 @@ def kernel_fit_atoms(dataset, hp, kernel, loss="cauchy"):
         lambda A: _atom_stacks(A, grams), sweep, hp, loss,
     )
     return A, grams, X, history
+
+
+def alternate_plain(maps, X, stacks, map_sweep, hp, loss="cauchy"):
+    """`optimizer.alternate` without the Anderson step: every outer
+    iteration but the first opens with the gauge step, then one latent
+    sweep and one map sweep, until the objective changes by at most
+    tol_obj (relative); a final latent sweep follows. Returns
+    (maps, X, FitHistory), with every half step audited for descent."""
+    from intact.core import FitHistory
+    from intact.optimizer import (
+        _audit_descent,
+        _objective,
+        balance_gauge,
+        residual_sq_from_stacks,
+        sweep_latents,
+    )
+
+    G, P, znorm = stacks(maps)
+    J_prev = J0 = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
+    trace, inner = [], []
+    stop_reason = "max_iter"
+
+    def record(kind, J):
+        _audit_descent(trace[-1][1] if trace else J0, J)
+        trace.append((kind, J))
+
+    def latent_sweep(X):
+        X, x_iters, s = sweep_latents(
+            G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss
+        )
+        record("x-update", _objective(s, G, X, hp, loss))
+        return X, int(np.max(x_iters))
+
+    for it in range(hp.max_outer):
+        if it > 0:
+            maps, X, G, P = balance_gauge(maps, X, G, P, hp)
+        X, x_iters = latent_sweep(X)
+        maps, w_iters = map_sweep(X, maps)
+        G, P, znorm = stacks(maps)
+        J = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
+        record("W-update", J)
+        inner.append((x_iters, int(w_iters)))
+        if abs(J - J_prev) <= hp.tol_obj * max(1.0, abs(J_prev)):
+            stop_reason = "objective_tol"
+            break
+        J_prev = J
+
+    X, x_iters = latent_sweep(X)
+    inner.append((x_iters, 0))
+    history = FitHistory(
+        objective_trace=tuple(trace),
+        inner_iterations=tuple(inner),
+        converged=stop_reason == "objective_tol",
+        stop_reason=stop_reason,
+    )
+    return maps, X, history
+
+
+def svt_objective(views, d, C1, C2):
+    """Minimum of the L2 alternation objective over rank-d factorizations,
+    from the singular values of the concatenated views.
+
+    With a = C1/m and b = C2/n, the two penalties of X and the maps are
+    at least 2 sqrt(ab) times the nuclear norm of their product, with
+    equality at the balanced factorization. The problem is then
+    ||Z - M||_F^2 / (m n) + 2 sqrt(ab) ||M||_* over rank-d M, solved by
+    the top-d singular values shrunk by tau = sqrt(ab) m n (Cai, Candes &
+    Shen 2010); the value is summed one singular value at a time.
+    """
+    m = len(views)
+    Z = np.hstack([np.asarray(V, dtype=float) for V in views])
+    n = Z.shape[0]
+    tau = math.sqrt(C1 / m * C2 / n) * m * n
+    total = 0.0
+    for j, sigma in enumerate(np.linalg.svd(Z, compute_uv=False)):
+        kept = max(sigma - tau, 0.0) if j < d else 0.0
+        total += (sigma - kept) ** 2 / (m * n) + 2.0 * tau / (m * n) * kept
+    return total

@@ -482,3 +482,69 @@ def test_bench_rejects_non_integral_integer_keys(tmp_path, capsys, key, patch):
          "hyperparams": {"d": 2}, **patch},
     )
     assert_rejected(cfg, "bench", tmp_path / "b", key, capsys)
+
+
+def assert_wrong_type_rejected(cfg, command, out, where, key, capsys):
+    """The command exits 1 with one `error:` line naming the section and
+    the key, no traceback, and writes nothing."""
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {where}: {key} must be a JSON ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("view_dims", 4), ("rates", 0.3), ("hyperparams", [1]), ("hyperparams", "d=2")],
+)
+def test_bench_rejects_config_values_of_the_wrong_json_type(tmp_path, capsys, key, value):
+    cfg = write_cfg(
+        tmp_path / "bench.json",
+        {"rates": [0.0], "n": 40, "view_dims": [4, 4], "n_seeds": 1,
+         "hyperparams": {"d": 2}, key: value},
+    )
+    assert_wrong_type_rejected(cfg, "bench", tmp_path / "b", "bench", key, capsys)
+
+
+@pytest.mark.parametrize("value", [5, [20.0]])
+def test_synth_rejects_a_noise_value_that_is_not_an_object(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path / "s.json", {"generator": "s_curve", "n": 40, "noise": value})
+    assert_wrong_type_rejected(cfg, "synth", tmp_path / "s", "synth", "noise", capsys)
+
+
+@pytest.mark.parametrize(
+    "key, patch",
+    [("hyperparams", {"hyperparams": 3}), ("kernel", {"kernel": 3}),
+     ("kernel", {"mode": "kernel", "kernel": "rbf"})],
+)
+def test_train_rejects_config_values_of_the_wrong_json_type(tmp_path, synth_out, capsys, key, patch):
+    cfg = write_cfg(
+        tmp_path / "train.json",
+        {"manifest": str(synth_out / "manifest.json"), "hyperparams": {"d": 2}, **patch},
+    )
+    assert_wrong_type_rejected(cfg, "train", tmp_path / "t", "train", key, capsys)
+
+
+def test_probe_rejects_taus_that_are_not_a_list(tmp_path, trained, synth_out, capsys):
+    cfg = write_cfg(
+        tmp_path / "probe.json",
+        {"model": str(trained / "model.txt"),
+         "manifest": str(synth_out / "manifest.json"), "n_probes": 2, "taus": 0.1},
+    )
+    assert_wrong_type_rejected(cfg, "probe", tmp_path / "p", "probe", "taus", capsys)
+
+
+def test_train_reports_extrapolations(tmp_path, synth_out, capsys):
+    """The summary line counts accepted extrapolations before `stop=`."""
+    counts = {}
+    for mode in ("linear", "kernel"):
+        cfg = write_cfg(
+            tmp_path / f"{mode}.json",
+            {"manifest": str(synth_out / "manifest.json"), "mode": mode,
+             "hyperparams": {"d": 3, "C1": 1e-4, "C2": 1e-4, "seed": 5}},
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / mode)]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.endswith("extrapolations, stop=objective_tol")
+        counts[mode] = int(summary.split(", ")[-2].split()[0])
+    assert counts["linear"] == 0 and counts["kernel"] >= 1
