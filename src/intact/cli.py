@@ -69,6 +69,15 @@ def _integer(value, where: str, key: str) -> int:
     return int(value)
 
 
+def _real(value, where: str, key: str) -> float:
+    """A real-valued config value: a JSON number, not a bool, a string, an
+    array or an object (the type rule `Hyperparams` applies to its float
+    fields)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{where}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
 _JSON_KINDS = {list: "array", dict: "object"}
 
 
@@ -105,10 +114,10 @@ def _hyperparams_from(cfg: dict, where: str, seed_override=None) -> Hyperparams:
 def _noise_from(cfg: dict, where: str, seed: int) -> NoiseSpec:
     _check_keys(cfg, {"snr_db", "window_fraction", "copies_per_base"}, where)
     snr = _require(cfg, "snr_db", where)
-    snr = math.inf if snr in ("inf", "Infinity") else float(snr)
+    snr = math.inf if snr in ("inf", "Infinity") else _real(snr, where, "snr_db")
     return NoiseSpec(
         snr_db=snr,
-        window_fraction=float(cfg.get("window_fraction", 0.3)),
+        window_fraction=_real(cfg.get("window_fraction", 0.3), where, "window_fraction"),
         copies_per_base=_integer(
             cfg.get("copies_per_base", 3), where, "copies_per_base"
         ),
@@ -239,7 +248,8 @@ def cmd_train(cfg: dict, args) -> int:
     if mode == "kernel":
         spec = KernelSpec(
             kind=kcfg.get("kind", "rbf"),
-            gamma=None if kcfg.get("gamma") is None else float(kcfg["gamma"]),
+            gamma=(None if kcfg.get("gamma") is None
+                   else _real(kcfg["gamma"], "train.kernel", "gamma")),
         )
         model, emb, hist = kernel_fit(dataset, hp, spec)
     else:
@@ -322,7 +332,7 @@ def cmd_eval(cfg: dict, args) -> int:
                 f"{labels.shape[0]} labels for {X_est.shape[0]} embedded rows"
             )
         k = _integer(cfg.get("k", 3), "eval", "k")
-        frac = float(cfg.get("train_fraction", 0.5))
+        frac = _real(cfg.get("train_fraction", 0.5), "eval", "train_fraction")
         if not 0.0 < frac < 1.0:
             raise ValueError(f"eval: train_fraction must lie in (0, 1), got {frac}")
         seed = _seed(cfg, args, "eval")
@@ -352,7 +362,10 @@ def cmd_probe(cfg: dict, args) -> int:
     model, record = modelio.load_model(model_path)
     rows = _load_model_views(model, record, view_paths)
 
-    taus = [float(t) for t in _container(cfg, "taus", list, "probe", [1e-3, 1e-2])]
+    taus = [
+        _real(t, "probe", f"taus[{i}]")
+        for i, t in enumerate(_container(cfg, "taus", list, "probe", [1e-3, 1e-2]))
+    ]
     n_probes = _integer(cfg.get("n_probes", 100), "probe", "n_probes")
     if n_probes < 1:
         raise ValueError(f"probe: n_probes must be >= 1, got {n_probes}")
@@ -398,18 +411,19 @@ def cmd_bench(cfg: dict, args) -> int:
         "bench",
     )
     rates = [
-        float(r) for r in _container(cfg, "rates", list, "bench", [0.0, 0.1, 0.2, 0.3])
+        _real(r, "bench", f"rates[{i}]")
+        for i, r in enumerate(_container(cfg, "rates", list, "bench", [0.0, 0.1, 0.2, 0.3]))
     ]
     for r in rates:
         if not 0.0 <= r < 0.5:
             raise ValueError(f"bench: contamination rate {r} must lie in [0, 0.5)")
-    magnitude = float(cfg.get("magnitude", 10.0))
+    magnitude = _real(cfg.get("magnitude", 10.0), "bench", "magnitude")
     n = _integer(cfg.get("n", 150), "bench", "n")
     view_dims = [
         _integer(D, "bench", f"view_dims[{i}]")
         for i, D in enumerate(_container(cfg, "view_dims", list, "bench", [6, 6, 6]))
     ]
-    noise_sigma = float(cfg.get("noise_sigma", 0.05))
+    noise_sigma = _real(cfg.get("noise_sigma", 0.05), "bench", "noise_sigma")
     n_seeds = _integer(cfg.get("n_seeds", 10), "bench", "n_seeds")
     if n_seeds < 1:
         raise ValueError(f"bench: n_seeds must be >= 1, got {n_seeds}")
@@ -465,12 +479,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="intact",
         description="Robust multi-view intact-space learning toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("command", choices=_COMMANDS, help="command to run")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
     return parser
 
 

@@ -19,6 +19,13 @@ model stores A_v = U_r Lambda_r^{-1/2} W_v; with a linear kernel the
 iterates coincide with the linear model's up to round-off. A fitted
 model builds its stack G_v = A_v^T K_v A_v once, on first use
 (`KernelModel.G`), and everything that reads the model's maps reads it.
+
+Every Gram is PSD-checked (`ensure_psd`): eigenvalues below
+PSD_REJECT raise, and those between it and PSD_JITTER_TRIGGER get a tiny
+diagonal shift. The check that `gram` and `load_model` make first tries
+a Cholesky factorization of K + |PSD_JITTER_TRIGGER| I, which succeeds
+only when no eigenvalue lies below the trigger and costs a fraction of
+`eigvalsh`; only a failed factorization computes the eigenvalues.
 """
 
 from __future__ import annotations
@@ -91,8 +98,21 @@ def median_heuristic_gamma(Z) -> float:
 
 def _psd_spectrum(K: np.ndarray, vectors: bool):
     """Symmetrized, PSD-checked K with its ascending eigenvalues and, if
-    `vectors`, eigenvectors (else None); see `ensure_psd`."""
+    `vectors`, eigenvectors (else None); see `ensure_psd`.
+
+    Without `vectors`, a Cholesky factorization of K + |PSD_JITTER_TRIGGER| I
+    with a finite diagonal certifies that no eigenvalue lies below the
+    trigger, where the eigenvalue rule returns K unchanged: K is returned
+    with no eigenvalues (None). Only a failed factorization runs eigvalsh."""
     K = 0.5 * (K + K.T)
+    if not vectors:
+        shifted = K.copy()
+        shifted.flat[:: K.shape[0] + 1] += abs(PSD_JITTER_TRIGGER)
+        try:
+            if np.isfinite(np.linalg.cholesky(shifted).diagonal().sum()):
+                return K, None, None
+        except np.linalg.LinAlgError:
+            pass
     lam, U = np.linalg.eigh(K) if vectors else (np.linalg.eigvalsh(K), None)
     lam_min = float(lam[0])
     if lam_min < PSD_REJECT:
@@ -108,7 +128,9 @@ def ensure_psd(K: np.ndarray) -> np.ndarray:
     """Symmetrize and check positive semidefiniteness.
 
     Round-off negativity up to the jitter trigger is absorbed by a tiny
-    diagonal shift; anything below the reject threshold raises.
+    diagonal shift; anything below the reject threshold raises. A Gram
+    that passes the Cholesky certificate of `_psd_spectrum` needs no
+    eigenvalues.
     """
     return _psd_spectrum(K, vectors=False)[0]
 

@@ -9,14 +9,20 @@ Every number table has one writer and one reader. `_format_rows` writes
 CSV rows (comma-separated) and model-file blocks (space-separated);
 `_parse_rows` reads CSV files, model-file blocks and XYZ point clouds
 (`synth.load_xyz_point_cloud`), with NumPy first and a line loop that
-names the first bad line as fallback. Model-file blocks take no comment
-lines. `_HYPERPARAM_LINES` lists the hyperparameter lines that
-`save_model` writes and `load_model` reads.
+names the first bad line as fallback. A CSV file in the writer's own
+format (leading '#' lines, then comma-separated rows) skips both: one
+`np.loadtxt` call reads it from its path at the speed of NumPy's C
+parser, and any file that call rejects, or reads a different number of
+rows from, goes to `_parse_rows`, so every file loads as the line reader
+reads it. Model-file blocks take no comment lines. `_HYPERPARAM_LINES`
+lists the hyperparameter lines that `save_model` writes and `load_model`
+reads.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -48,6 +54,10 @@ def fmt_float(x) -> str:
 # Rows formatted and written per write call by save_matrix_csv.
 _CSV_BLOCK_ROWS = 1024
 
+# np.loadtxt opens a path through NumPy's DataSource, which decompresses
+# files with these suffixes and fetches URLs; such names take `_parse_rows`.
+_DATASOURCE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
 
 def _format_rows(M, sep: str = ",") -> str:
     """Rows of the 2-D array M joined by newlines (no final newline), each
@@ -72,9 +82,46 @@ def save_view_csv(path, Z, view_index: int):
 
 def load_matrix_csv(path) -> np.ndarray:
     """Matrix from text rows of numbers separated by commas and/or
-    whitespace (`_parse_rows`); an empty file gives a (0, 0) array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_rows(path, fh.read().split("\n"))
+    whitespace (`_parse_rows`); an empty file gives a (0, 0) array.
+
+    A file in `save_matrix_csv`'s format (leading '#' lines, then rows of
+    comma-separated numbers) is read by one `np.loadtxt` call on the path,
+    NumPy's C parser. Any other file, and any file that parser rejects or
+    reads a different number of rows from, goes to `_parse_rows`."""
+    M = _load_writer_csv(path)
+    if M is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            M = _parse_rows(path, fh.read().split("\n"))
+    return M
+
+
+def _load_writer_csv(path):
+    """The matrix of a file in `save_matrix_csv`'s format, or None for a
+    file that is not: one whose first row is missing or empty (NumPy would
+    warn), one NumPy rejects (a '#' after the header, a bad number, ragged
+    rows) and one with more lines than NumPy read rows (blank lines, lone
+    carriage returns), all of which `_parse_rows` reads or rejects."""
+    name = os.fspath(path)
+    if "://" in name or name.endswith(_DATASOURCE_SUFFIXES):
+        return None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = header = 0
+    while data.startswith(b"#", start):
+        start = data.find(b"\n", start) + 1
+        if start == 0:
+            return None
+        header += 1
+    if data[start:start + 1] in (b"", b"\n", b"\r"):
+        return None
+    # NumPy counts the line ends several times faster than bytes.count
+    newlines = np.count_nonzero(np.frombuffer(data, np.uint8, offset=start) == ord("\n"))
+    try:
+        M = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None,
+                       skiprows=header, ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    return M if M.shape[0] == newlines + (not data.endswith(b"\n")) else None
 
 
 def _parse_rows(path, lines, first_line: int = 1, width: int = None,
@@ -136,13 +183,10 @@ def save_history_csv(path, history):
 
 
 def load_labels(path) -> list:
-    out = []
+    """The stripped lines of a text file, blank and '#' lines skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if text and not text.startswith("#"):
-                out.append(text)
-    return out
+        lines = fh.read().split("\n")
+    return [text for text in map(str.strip, lines) if text and text[0] != "#"]
 
 
 def save_json(path, payload: dict):

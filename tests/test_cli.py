@@ -548,3 +548,85 @@ def test_train_reports_extrapolations(tmp_path, synth_out, capsys):
         assert summary.endswith("extrapolations, stop=objective_tol")
         counts[mode] = int(summary.split(", ")[-2].split()[0])
     assert counts["linear"] == 0 and counts["kernel"] >= 1
+
+
+def assert_non_number_rejected(cfg, command, out, where, key, capsys):
+    """The command exits 1 with one `error:` line naming the section and
+    the key, no traceback, and writes nothing."""
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {where}: {key} must be a number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("magnitude", [1]), ("magnitude", "10"), ("noise_sigma", {"s": 0.1}),
+     ("rates", [0.1, [0.2]]), ("rates", [True])],
+)
+def test_bench_rejects_float_keys_that_are_not_numbers(tmp_path, capsys, key, value):
+    cfg = write_cfg(
+        tmp_path / "bench.json",
+        {"rates": [0.0], "n": 40, "view_dims": [4, 4], "n_seeds": 1,
+         "hyperparams": {"d": 2}, key: value},
+    )
+    where = f"{key}[{len(value) - 1}]" if key == "rates" else key
+    assert_non_number_rejected(cfg, "bench", tmp_path / "b", "bench", where, capsys)
+
+
+@pytest.mark.parametrize(
+    "key, noise",
+    [("snr_db", {"snr_db": [20.0]}),
+     ("window_fraction", {"snr_db": 20.0, "window_fraction": {"w": 0.3}})],
+)
+def test_synth_rejects_noise_keys_that_are_not_numbers(tmp_path, capsys, key, noise):
+    cfg = write_cfg(tmp_path / "s.json", {"generator": "s_curve", "n": 40, "noise": noise})
+    assert_non_number_rejected(cfg, "synth", tmp_path / "s", "synth.noise", key, capsys)
+
+
+def test_eval_rejects_a_train_fraction_that_is_not_a_number(tmp_path, capsys):
+    emb = tmp_path / "emb.csv"
+    modelio.save_matrix_csv(emb, np.arange(20.0).reshape(10, 2))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{i % 2}\n" for i in range(10)))
+    cfg = write_cfg(
+        tmp_path / "eval.json",
+        {"embedding": str(emb), "labels": str(labels), "train_fraction": [0.5]},
+    )
+    assert_non_number_rejected(cfg, "eval", tmp_path / "e", "eval", "train_fraction", capsys)
+
+
+def test_train_rejects_a_gamma_that_is_not_a_number(tmp_path, synth_out, capsys):
+    cfg = write_cfg(
+        tmp_path / "train.json",
+        {"manifest": str(synth_out / "manifest.json"), "mode": "kernel",
+         "kernel": {"kind": "rbf", "gamma": [1.0]}, "hyperparams": {"d": 2}},
+    )
+    assert_non_number_rejected(cfg, "train", tmp_path / "t", "train.kernel", "gamma", capsys)
+
+
+def test_probe_rejects_taus_that_are_not_numbers(tmp_path, trained, synth_out, capsys):
+    cfg = write_cfg(
+        tmp_path / "probe.json",
+        {"model": str(trained / "model.txt"),
+         "manifest": str(synth_out / "manifest.json"), "n_probes": 2,
+         "taus": [0.1, {"t": 0.2}]},
+    )
+    assert_non_number_rejected(cfg, "probe", tmp_path / "p", "probe", "taus[1]", capsys)
+
+
+def test_unknown_command_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "s.json", {"generator": "s_curve", "n": 10})
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fit'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_lists_every_command():
+    proc = subprocess.run(
+        [sys.executable, "-m", "intact", "--help"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert "{synth,train,embed,eval,probe,bench}" in proc.stdout

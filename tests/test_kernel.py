@@ -88,6 +88,62 @@ def test_ensure_psd_branches():
         ensure_psd(np.diag([1.0, -1e-3]))
 
 
+def _eigvalsh_rule(K):
+    """ensure_psd's rule read off the full spectrum."""
+    K = 0.5 * (K + K.T)
+    lam_min = np.linalg.eigvalsh(K)[0]
+    if lam_min < -1e-4:
+        raise GramNotPSD(f"smallest Gram eigenvalue {lam_min:.3e}")
+    if lam_min < -1e-8:
+        K = K + 1e-10 * float(np.mean(np.diag(K))) * np.eye(K.shape[0])
+    return K
+
+
+@pytest.mark.parametrize("n", [4, 60])
+@pytest.mark.parametrize("lam_min", [1e-3, 0.0, -1e-9, -1e-7, -1e-5, -1e-3])
+def test_ensure_psd_matches_the_eigenvalue_rule(n, lam_min):
+    rng = np.random.default_rng(n)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    K = (Q * np.r_[lam_min, rng.uniform(0.1, 2.0, n - 1)]) @ Q.T
+    try:
+        want = _eigvalsh_rule(K)
+    except GramNotPSD:
+        with pytest.raises(GramNotPSD):
+            ensure_psd(K)
+        return
+    got = ensure_psd(K)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_ensure_psd_certifies_an_rbf_gram_without_eigenvalues(monkeypatch):
+    Z = project_to_planes(gen_s_curve(80, seed=2))[0]
+    K = gram(Z, KernelSpec("rbf", median_heuristic_gamma(Z)))
+
+    def no_eigenvalues(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    assert np.array_equal(ensure_psd(K), K)
+
+
+def _non_finite_grams():
+    off_nan, first_inf = np.eye(3), np.eye(3)
+    off_nan[0, 1] = off_nan[1, 0] = np.nan
+    first_inf[0, 0] = np.inf
+    return [np.full((3, 3), np.nan), off_nan, first_inf]
+
+
+@pytest.mark.parametrize("K", _non_finite_grams())
+def test_ensure_psd_gives_non_finite_grams_to_the_eigenvalue_rule(K):
+    try:
+        want = _eigvalsh_rule(K)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            ensure_psd(K)
+        return
+    assert np.array_equal(ensure_psd(K), want, equal_nan=True)
+
+
 def test_median_heuristic_positive():
     rng = np.random.default_rng(3)
     Z = rng.normal(size=(20, 4))

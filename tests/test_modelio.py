@@ -228,6 +228,18 @@ _CSV_CORPUS = {
     "hex": "0x10,1\n",
     "bom": "\ufeff1,2\n",
     "late-bad-row": "1,2\n" * 50 + "3;4\n",
+    # save_matrix_csv's format (a '#' header, then comma-separated rows)
+    # bent in the ways that must leave NumPy's reader for the line reader
+    "writer-hash-after-data": "# view 0 dims 2\n1,2\n3,4\n# end\n",
+    "writer-trailing-note": "# view 0 dims 2\n1,2 # note\n3,4\n",
+    "writer-blank-mid": "# view 0 dims 2\n1,2\n\n3,4\n",
+    "writer-header-only": "# view 0 dims 2\n",
+    "writer-trailing-blanks": "# view 0 dims 2\n1,2\n3,4\n\n\n",
+    "writer-trailing-comma": "# view 0 dims 2\n1,2,\n3,4\n",
+    "writer-cr-in-header": "# a\r1,2\n3,4\n",
+    "writer-lone-cr": "# h\n1,2\r3,4\n",
+    "writer-crlf": "# h\r\n1,2\r\n3,4\r\n",
+    "writer-two-headers": "# a\n# b\n1,2\n3,4",
 }
 
 
@@ -247,6 +259,28 @@ def test_load_matrix_csv_matches_line_reference(tmp_path, name):
         got = modelio.load_matrix_csv(path)
     assert got.dtype == np.float64 and got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_load_matrix_csv_reads_writer_files_without_the_line_reader(tmp_path, monkeypatch):
+    rng = np.random.default_rng(1)
+    M = rng.standard_normal((2500, 3)) * 10.0 ** rng.integers(-300, 300, (2500, 3))
+    M.flat[0], M.flat[1], M.flat[-1] = -0.0, np.inf, np.nan
+    path = tmp_path / "m.csv"
+    modelio.save_matrix_csv(path, M, header="view 0 dims 3")
+
+    def no_line_reader(*args, **kwargs):
+        raise AssertionError("_parse_rows called")
+
+    monkeypatch.setattr(modelio, "_parse_rows", no_line_reader)
+    got = modelio.load_matrix_csv(path)
+    assert got.shape == M.shape and np.array_equal(got.view(np.uint64), M.view(np.uint64))
+
+
+def test_load_matrix_csv_reads_a_compressed_suffix_as_text(tmp_path):
+    # NumPy would open a path ending in .gz as a gzip stream
+    path = tmp_path / "m.csv.gz"
+    modelio.save_matrix_csv(path, np.eye(2), header="h")
+    assert np.array_equal(modelio.load_matrix_csv(path), np.eye(2))
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 0), (1, 1), (3, 1), (1, 4), (2500, 3)])
