@@ -373,7 +373,10 @@ def cmd_probe(cfg: dict, args) -> int:
     rng = np.random.default_rng(seed)
 
     reports = []
-    lines = ["example,view,coord,tau,measured_deviation,beta_bound,holds,local_convex"]
+    lines = [
+        "example,view,coord,tau,measured_deviation,beta_bound,holds,local_convex,"
+        "measured_over_bound"
+    ]
     print(f"{'example':>7} {'view':>4} {'coord':>5} {'tau':>10} "
           f"{'measured':>13} {'bound':>13} holds convex")
     for p in range(n_probes):
@@ -390,13 +393,15 @@ def cmd_probe(cfg: dict, args) -> int:
             f"{i},{v},{j},{modelio.fmt_float(rep.tau)},"
             f"{modelio.fmt_float(rep.measured_deviation)},"
             f"{modelio.fmt_float(rep.beta_bound)},"
-            f"{int(rep.holds)},{int(rep.local_convex)}"
+            f"{int(rep.holds)},{int(rep.local_convex)},"
+            f"{modelio.fmt_float(rep.bound_ratio)}"
         )
         print(f"{i:>7} {v:>4} {j:>5} {rep.tau:>10.3g} "
               f"{rep.measured_deviation:>13.6g} {rep.beta_bound:>13.6g} "
               f"{str(rep.holds):>5} {rep.local_convex}")
     violations = sum(1 for r in reports if not r.holds)
-    print(f"violations = {violations} / {len(reports)}")
+    print(f"violations = {violations} / {len(reports)}, largest measured/bound = "
+          f"{max(r.bound_ratio for r in reports):.6g}")
     out = _out_dir(args)
     with open(out / "probes.csv", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -32,6 +32,14 @@ class StabilityReport:
     holds: bool
     local_convex: bool
 
+    @property
+    def bound_ratio(self) -> float:
+        """measured_deviation / beta_bound: how much of the bound the probe
+        used. A zero bound (tau = 0) with zero deviation reads 0."""
+        if self.beta_bound > 0:
+            return self.measured_deviation / self.beta_bound
+        return 0.0 if self.measured_deviation == 0 else float("inf")
+
 
 def embed_example(z_new, model: IntactModel, hp: Hyperparams = None, x0=None) -> np.ndarray:
     """Latent coordinate of a new multi-view example.

@@ -645,29 +645,39 @@ def default_init(views, hp: Hyperparams):
 
     The principal directions are computed on winsorized, per-column
     standardized data so that contaminated entries can neither hijack the
-    starting basin nor outvote clean columns by sheer variance.
-    Singular-vector signs are canonicalized so the result is invariant to
-    view ordering. Missing rank is filled with seeded Gaussian columns
-    scaled by 1/sqrt(d).
+    starting basin nor outvote clean columns by sheer variance. The
+    latents are `_principal_latents` of its SVD, with signs fixed on Vt so
+    that the result is invariant to view ordering.
     """
-    n = views[0].shape[0]
-    d = hp.d
     Zc = _winsorize_columns(np.hstack([np.asarray(Z) for Z in views]))
     Zc = Zc - Zc.mean(axis=0)
     sd = Zc.std(axis=0)
     Zc = Zc / np.where(sd > 0, sd, 1.0)
     U, S, Vt = np.linalg.svd(Zc, full_matrices=False)
+    X0 = _principal_latents(U, S, Vt, hp)
+    return X0, _ridge_maps(X0, views, hp.C1)
+
+
+def _principal_latents(U, S, sign_rows, hp: Hyperparams) -> np.ndarray:
+    """Starting latents U_r diag(S_r) from the leading r = min(d, rank)
+    principal pairs (U's columns, S descending).
+
+    The rank counts S above 1e-12 of max(1, S[0]). Column j's sign makes
+    the largest-magnitude entry of sign_rows[j] positive. Missing rank is
+    filled with seeded Gaussian columns scaled by 1/sqrt(d).
+    """
+    n, d = U.shape[0], hp.d
     rank = int(np.sum(S > 1e-12 * max(1.0, S[0] if S.size else 0.0)))
     r = min(d, rank)
     X0 = np.zeros((n, d))
     for j in range(r):
-        lead = np.argmax(np.abs(Vt[j]))
-        sign = 1.0 if Vt[j, lead] >= 0 else -1.0
+        lead = np.argmax(np.abs(sign_rows[j]))
+        sign = 1.0 if sign_rows[j, lead] >= 0 else -1.0
         X0[:, j] = sign * U[:, j] * S[j]
     if r < d:
         rng = np.random.default_rng(hp.seed)
         X0[:, r:] = rng.normal(size=(n, d - r)) / np.sqrt(d)
-    return X0, _ridge_maps(X0, views, hp.C1)
+    return X0
 
 
 def _ridge_maps(X, views, C1: float) -> list:

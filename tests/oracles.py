@@ -165,10 +165,24 @@ def fit_atoms(K, X, A0, c, C1, tol_x, max_inner, loss="cauchy"):
     return A, max_inner
 
 
+def feature_start(grams, d):
+    """U_d Lambda_d^{1/2} from the full eigendecomposition of sum_v K_v,
+    top d pairs, each column of U signed so its largest-magnitude entry is
+    positive (full rank assumed: no fill columns)."""
+    lam, U = np.linalg.eigh(sum(grams))
+    X = np.zeros((len(lam), d))
+    for j in range(d):
+        u = U[:, -1 - j]
+        sign = 1.0 if u[np.argmax(np.abs(u))] >= 0 else -1.0
+        X[:, j] = sign * u * math.sqrt(max(lam[-1 - j], 0.0))
+    return X
+
+
 def kernel_fit_atoms(dataset, hp, kernel, loss="cauchy"):
-    """Kernel fit in atom coordinates: the library's Grams, latent
-    initialization and driver (`optimizer.alternate`), with `fit_atoms` as
-    the map solver and the atoms started at X (X^T X + n C1 I)^{-1}.
+    """Kernel fit in atom coordinates: the library's Grams and driver
+    (`optimizer.alternate`), with `fit_atoms` as the map solver and the
+    atoms started at X (X^T X + n C1 I)^{-1}. A linear kernel starts from
+    the library's `default_init`; an rbf kernel from `feature_start`.
     Returns (atoms, grams, X, FitHistory)."""
     from intact.kernel import KernelSpec, gram, median_heuristic_gamma
     from intact.optimizer import alternate, default_init
@@ -179,7 +193,10 @@ def kernel_fit_atoms(dataset, hp, kernel, loss="cauchy"):
         if kernel.kind == "rbf":
             g = kernel.gamma if kernel.gamma is not None else median_heuristic_gamma(Z)
         grams.append(gram(Z, KernelSpec(kernel.kind, g)))
-    X = default_init(dataset.views, hp)[0]
+    if kernel.kind == "rbf":
+        X = feature_start(grams, hp.d)
+    else:
+        X = default_init(dataset.views, hp)[0]
     n, d = X.shape
     A_shared = np.linalg.solve(X.T @ X + n * hp.C1 * np.eye(d), X.T).T
 

@@ -65,12 +65,12 @@ def assert_no_higher(history, reference):
 
 
 @pytest.mark.parametrize("seed", RBF_SEEDS)
-def test_rbf_fits_end_no_higher_in_at_most_20_outer_iterations(seed):
+def test_rbf_fits_end_no_higher_in_at_most_12_outer_iterations(seed):
     ds = readme_s_curve(100, seed)
     ref = plain(kernel_fit, ds, README_HP, KernelSpec("rbf"))[2]
     hist = kernel_fit(ds, README_HP, KernelSpec("rbf"))[2]
     assert_no_higher(hist, ref)
-    assert outer_iterations(hist) <= 20 < outer_iterations(ref)
+    assert outer_iterations(hist) <= 12 < outer_iterations(ref)
     assert hist.extrapolations >= 1 and ref.extrapolations == 0
 
 

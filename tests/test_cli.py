@@ -222,6 +222,29 @@ def test_probe_zero_tau_row(tmp_path, trained, synth_out):
         assert fields[6] == "1"  # holds
 
 
+def test_probe_reports_measured_over_bound(tmp_path, trained, synth_out, capsys):
+    cfg = write_cfg(
+        tmp_path / "probe.json",
+        {"model": str(trained / "model.txt"),
+         "manifest": str(synth_out / "manifest.json"),
+         "taus": [0.0, 0.1], "n_probes": 4, "seed": 0},
+    )
+    out = tmp_path / "probe"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "probes.csv").read_text().splitlines()
+    assert header.endswith(",local_convex,measured_over_bound")
+    fields = [row.split(",") for row in rows]
+    ratios = [float(f[-1]) for f in fields]
+    for f, ratio in zip(fields, ratios):
+        if float(f[3]) == 0.0:
+            assert ratio == 0.0
+        else:
+            assert ratio == float(f[4]) / float(f[5]) and ratio > 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("violations = ")
+    assert summary.endswith(f"largest measured/bound = {max(ratios):.6g}")
+
+
 def test_probe_rejects_zero_regularizer(tmp_path, capsys):
     _, _, Zs = gen_planted_linear(20, [3, 3], 2, seed=4, noise_sigma=0.05)
     hp = Hyperparams(d=2, C1=0.0, C2=0.0, seed=4, max_outer=20)

@@ -292,3 +292,18 @@ def test_probe_measures_with_its_own_hyperparams():
         assert got == local_convexity_check(z, refit, x, radius)
         verdicts.append((got, local_convexity_check(z, model, x, radius)))
     assert any(mine != default for mine, default in verdicts)
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.1])
+def test_bound_ratio_is_measured_over_bound(tau):
+    ds, _, model, _ = trained_model(seed=11)
+    z = [Z[0] for Z in ds.views]
+    rep = stability_probe(z, model, tau=tau, view_index=0, coord_index=1)
+    assert rep.measured_deviation > 0
+    assert rep.bound_ratio == rep.measured_deviation / rep.beta_bound
+
+
+def test_bound_ratio_of_a_zero_tau_probe_is_zero():
+    ds, _, model, _ = trained_model(seed=11)
+    rep = stability_probe([Z[0] for Z in ds.views], model, tau=0.0)
+    assert rep.beta_bound == 0.0 and rep.bound_ratio == 0.0

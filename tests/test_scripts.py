@@ -1,10 +1,22 @@
-"""Smoke test of the experiment script the README documents."""
+"""Smoke tests of the scripts the README documents."""
 
+import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_s_curve.py"
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "run_s_curve.py"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_run_s_curve_smoke():
@@ -16,3 +28,18 @@ def test_run_s_curve_smoke():
     lines = proc.stdout.splitlines()
     assert len(lines) == 2
     assert all("monotone=True" in line for line in lines)
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_bench_perf_row_smoke(kind):
+    row = load_script("bench_perf").run_row(kind, 60, 1)
+    assert set(row) == {
+        "kind", "n", "wall_s", "raw_wall_s", "peak_rss_mb", "outer_iterations",
+        "stop_reason", "final_objective", "alignment_residual",
+    }
+    assert (row["kind"], row["n"]) == (kind, 60)
+    assert row["wall_s"] > 0 and row["raw_wall_s"] > 0
+    assert row["peak_rss_mb"] > 10
+    assert row["outer_iterations"] >= 1 and row["stop_reason"] == "objective_tol"
+    assert math.isfinite(row["final_objective"]) and row["final_objective"] > 0
+    assert 0 <= row["alignment_residual"] < 1
