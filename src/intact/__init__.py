@@ -18,8 +18,6 @@ from .core import (
     validate_dataset,
 )
 from .estimators import (
-    EstimatorKind,
-    baseline_rho,
     cauchy_psi,
     cauchy_rho,
     residual_weight,
@@ -82,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentScore",
-    "EstimatorKind",
     "FitHistory",
     "Hyperparams",
     "IntactEmbedding",
@@ -98,7 +95,6 @@ __all__ = [
     "add_window_noise",
     "align_to_truth",
     "alternation_objective",
-    "baseline_rho",
     "cauchy_psi",
     "cauchy_rho",
     "embed_example",

@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import Hyperparams, IntactModel, as_matrix, validate_dataset
 from .errors import EmptyTrainingSet, NonFiniteInput, RankDeficient, ShapeMismatch
-from .optimizer import _model_residual_sq, data_term, fit
+from .optimizer import _model_residual_sq, data_term, fit, l2_fit
 
 # Cells of the largest array k-NN holds per block: test rows x k x k in
 # the vote, tied rows x n_train when ties are resolved by brute force.
@@ -166,7 +166,7 @@ def _vote(codes, dist) -> np.ndarray:
 @dataclass(frozen=True)
 class RobustnessReport:
     """Reconstruction errors against clean truth for the Cauchy fit and the
-    structurally identical L2 baseline, plus their ratio."""
+    closed-form L2 optimum (`optimizer.l2_fit`), plus their ratio."""
 
     cauchy_error: float
     l2_error: float
@@ -189,11 +189,11 @@ def robustness_benchmark(
 ) -> RobustnessReport:
     """Contaminate one view with +/-magnitude outliers and compare fits.
 
-    A seeded random subset of view 0's entries is replaced; the Cauchy fit
-    and an alternating ridge baseline (squared error, unit weights) with
-    the same schedule and regularizers are both trained on the corrupted
-    data and scored by squared reconstruction error against the clean
-    views, isolating the effect of the loss function.
+    A seeded random subset of view 0's entries is replaced. The Cauchy fit
+    and the squared-error baseline with the same d and regularizers, the
+    exact L2 optimum from `l2_fit`, are both trained on the corrupted data
+    and scored by squared reconstruction error against the clean views,
+    isolating the effect of the loss function.
     """
     if not 0.0 <= contamination_rate < 0.5:
         raise ValueError("contamination_rate must lie in [0, 0.5)")
@@ -211,8 +211,8 @@ def robustness_benchmark(
         corrupted[0] = target.reshape(corrupted[0].shape)
     noisy = validate_dataset(corrupted, base_dataset.labels)
 
-    model_c, X_c, _ = fit(noisy, hp, loss="cauchy")
-    model_l, X_l, _ = fit(noisy, hp, loss="l2")
+    model_c, X_c, _ = fit(noisy, hp)
+    model_l, X_l = l2_fit(noisy, hp)
     err_c = _relative_reconstruction(clean, model_c, X_c)
     err_l = _relative_reconstruction(clean, model_l, X_l)
     return RobustnessReport(

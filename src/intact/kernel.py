@@ -243,12 +243,12 @@ def kernel_w_norm_sq(v: int, km: KernelModel) -> float:
     return float(np.trace(km.G[v]))
 
 
-def kernel_alternation_objective(km_A, grams, X, hp: Hyperparams, loss="cauchy") -> float:
+def kernel_alternation_objective(km_A, grams, X, hp: Hyperparams) -> float:
     """The alternation objective in atom coordinates, on the stacks
     A_v^T K_v A_v, K_v A_v and diag(K_v)."""
     G, P = _atom_stacks(km_A, grams)
     s = residual_sq_from_stacks(G, P, np.stack([np.diag(K) for K in grams]), X)
-    return _objective(s, G, X, hp, loss)
+    return _objective(s, G, X, hp)
 
 
 def _features(views, kernel: KernelSpec):
@@ -288,12 +288,7 @@ def _feature_start(grams, hp: Hyperparams) -> np.ndarray:
     return _principal_latents(U, np.sqrt(np.maximum(lam, 0.0)), U.T, hp)
 
 
-def kernel_fit(
-    dataset: MultiViewDataset,
-    hp: Hyperparams,
-    kernel: KernelSpec,
-    loss: str = "cauchy",
-):
+def kernel_fit(dataset: MultiViewDataset, hp: Hyperparams, kernel: KernelSpec):
     """Fit the kernel model on exact kernel features (module docstring).
     An rbf fit starts from the latents of `_feature_start`, the principal
     subspace of sum_v K_v; a linear-kernel fit from those of
@@ -302,8 +297,6 @@ def kernel_fit(
     latents. Returns (IntactModel in kernel mode, IntactEmbedding,
     FitHistory).
     """
-    if loss not in ("cauchy", "l2"):
-        raise ValueError(f"unknown loss {loss!r}")
     views = dataset.views
     gammas, grams, Phi, to_atoms = _features(views, kernel)
     feats = [F[:, : B.shape[1]] for F, B in zip(Phi, to_atoms)]
@@ -318,8 +311,8 @@ def kernel_fit(
     W, X, history = alternate(
         W, X,
         lambda W: _view_stacks(feats, W)[:2] + (znorm,),
-        _map_sweep(Phi, znorm, hp, loss),
-        hp, loss,
+        _map_sweep(Phi, znorm, hp),
+        hp,
     )
     km = KernelModel(
         A=tuple(freeze_array(B @ Wv) for B, Wv in zip(to_atoms, W)),

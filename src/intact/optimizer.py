@@ -43,7 +43,13 @@ The per-example functions (`objective_x`, `grad_x`, `update_x_once`,
 `solve_x`, `majorant_*`) are the batched latent step at n = 1, valued by
 `_example_objectives`; `update_w_once` and `solve_w` are the map sweep
 at m = 1.
-`objective_full` keeps the sum-normalized regularizers for standalone use.
+
+`objective_full` keeps the sum-normalized penalties for standalone use.
+Over the gauge, either objective's penalties are 2 sqrt(w1 w2) times the
+nuclear norm of the products W_v x_i (w1, w2 their weights), so the two
+share minimizing products once C1 C2 is scaled by m n. `l2_fit`, the
+squared-error baseline, needs no alternation: its optimum is one
+soft-thresholded SVD of the concatenated views.
 """
 
 from __future__ import annotations
@@ -169,26 +175,26 @@ def residual_sq_from_stacks(G, P, znorm, X) -> np.ndarray:
     return np.maximum(s, 0.0, out=s)
 
 
-def data_term(s, c: float, loss: str = "cauchy") -> float:
+def data_term(s, c: float) -> float:
     """Mean loss over a block of squared residual norms: the data term of
     every objective in the package."""
-    return float(rho_sq(s, c, loss).sum()) / s.size
+    return float(rho_sq(s, c).sum()) / s.size
 
 
-def _objective(s, G, X, hp: Hyperparams, loss: str) -> float:
+def _objective(s, G, X, hp: Hyperparams) -> float:
     """Alternation objective from the squared residuals s (m x n) and the
     map stacks G; the map penalty ||W_v||_F^2 is trace(G_v) in both modes."""
     m, n = s.shape
     reg_w = float(np.trace(G, axis1=1, axis2=2).sum())
     reg_x = float(np.sum(X * X))
-    return data_term(s, hp.c, loss) + hp.C1 * reg_w / m + hp.C2 * reg_x / n
+    return data_term(s, hp.c) + hp.C1 * reg_w / m + hp.C2 * reg_x / n
 
 
-def alternation_objective(views, W_list, X, hp: Hyperparams, loss="cauchy") -> float:
+def alternation_objective(views, W_list, X, hp: Hyperparams) -> float:
     """The objective both sweeps block-minimize: mean reconstruction loss
     plus per-view-averaged C1 penalty and per-example-averaged C2 penalty."""
     G, P, znorm = _view_stacks(views, W_list)
-    return _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
+    return _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp)
 
 
 def _model_residual_sq(dataset, model: IntactModel, X):
@@ -204,7 +210,12 @@ def _model_residual_sq(dataset, model: IntactModel, X):
 
 def objective_full(dataset, model: IntactModel, X) -> float:
     """Joint objective: mean Cauchy reconstruction loss over all (view,
-    example) pairs plus C1 * sum_v ||W_v||_F^2 + C2 * sum_i ||x_i||^2."""
+    example) pairs plus C1 * sum_v ||W_v||_F^2 + C2 * sum_i ||x_i||^2.
+
+    Every fit minimizes the mean-normalized penalties (C1/m, C2/n) of
+    `alternation_objective` instead. The minimizing products W_v x_i
+    coincide once C1 * C2 is scaled by m * n: those here at (C1, C2) are
+    the fits' at any (C1', C2') with C1' C2' = m n C1 C2."""
     X = as_matrix(X)
     hp = model.hyperparams
     s, G = _model_residual_sq(dataset, model, X)
@@ -222,7 +233,7 @@ def objective_w(view_data, X, W, hp: Hyperparams) -> float:
 # the batched latent step, and its n = 1 restrictions
 # ---------------------------------------------------------------------------
 
-def _latent_system(G, P, znorm, X, c, C2, loss="cauchy"):
+def _latent_system(G, P, znorm, X, c, C2):
     """Squared residuals at X and every row's reweighted ridge system
     (sum_v q_v G_v + m C2 I) x = sum_v q_v P_v, weights q_v taken at X.
 
@@ -231,15 +242,15 @@ def _latent_system(G, P, znorm, X, c, C2, loss="cauchy"):
     """
     m, d = G.shape[0], G.shape[1]
     s = residual_sq_from_stacks(G, P, znorm, X)
-    Q = weight_sq(s, c, loss)
+    Q = weight_sq(s, c)
     H = np.einsum("vn,vij->nij", Q, G) + m * C2 * np.eye(d)
     rhs = np.einsum("vn,vnd->nd", Q, P)
     return s, H, rhs
 
 
-def _latent_step(G, P, znorm, X, c, C2, loss="cauchy") -> np.ndarray:
+def _latent_step(G, P, znorm, X, c, C2) -> np.ndarray:
     """One reweighted update of every row of X."""
-    _, H, rhs = _latent_system(G, P, znorm, X, c, C2, loss)
+    _, H, rhs = _latent_system(G, P, znorm, X, c, C2)
     return _spd_solve(H, rhs[..., None])[..., 0]
 
 
@@ -380,7 +391,7 @@ def solve_w(view_data, X, w0, hp: Hyperparams) -> SubproblemResult:
 # batched sweeps and the alternation driver
 # ---------------------------------------------------------------------------
 
-def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner, loss="cauchy"):
+def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner):
     """Solve every example's latent subproblem in one batched IRR sweep.
 
     Rows are independent: each row iterates until it moves by at most
@@ -397,7 +408,7 @@ def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner, loss="cauchy"):
         if idx.size == 0:
             break
         Xa = X[idx]
-        X_new = _latent_step(G, P[:, idx], znorm[:, idx], Xa, c, C2, loss)
+        X_new = _latent_step(G, P[:, idx], znorm[:, idx], Xa, c, C2)
         delta = np.linalg.norm(X_new - Xa, axis=1)
         X[idx] = X_new
         iters[idx] = k + 1
@@ -406,7 +417,7 @@ def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner, loss="cauchy"):
     return X, iters, s_final
 
 
-def fit_view_map(Z, znorm, X, W0, c, C1, tol_x, max_inner, loss="cauchy"):
+def fit_view_map(Z, znorm, X, W0, c, C1, tol_x, max_inner):
     """Solve every view's map subproblem in one stacked IRR sweep, the
     map-side twin of `sweep_latents`.
 
@@ -430,7 +441,7 @@ def fit_view_map(Z, znorm, X, W0, c, C1, tol_x, max_inner, loss="cauchy"):
     Za, za, Wa = Z, znorm, W
     for k in range(max_inner):
         s = residual_sq_from_stacks(Wa.transpose(0, 2, 1) @ Wa, Za @ Wa, za, X)
-        QX = weight_sq(s, c, loss)[:, :, None] * X
+        QX = weight_sq(s, c)[:, :, None] * X
         W_new = _spd_solve(X.T @ QX + ridge, QX.transpose(0, 2, 1) @ Za)
         W_new = np.ascontiguousarray(W_new.transpose(0, 2, 1))
         dW = W_new - Wa
@@ -494,7 +505,7 @@ def balance_gauge(maps, X, G, P, hp: Hyperparams):
     return [M @ T_inv for M in maps], X @ T, T_inv @ G @ T_inv, P @ T_inv
 
 
-def _map_sweep(Z, znorm, hp: Hyperparams, loss: str):
+def _map_sweep(Z, znorm, hp: Hyperparams):
     """A map sweep for `alternate`: every view's map solved by one
     `fit_view_map` call.
 
@@ -509,9 +520,7 @@ def _map_sweep(Z, znorm, hp: Hyperparams, loss: str):
         W0 = np.zeros((Z.shape[0], Z.shape[2], X.shape[1]))
         for v, M in enumerate(maps):
             W0[v, : len(M)] = M
-        W, iters = fit_view_map(
-            Z, znorm, X, W0, hp.c, hp.C1, hp.tol_x, hp.max_inner, loss
-        )
+        W, iters = fit_view_map(Z, znorm, X, W0, hp.c, hp.C1, hp.tol_x, hp.max_inner)
         return [W[v, : len(M)] for v, M in enumerate(maps)], int(iters.max())
 
     return sweep
@@ -546,7 +555,7 @@ def _anderson_candidate(pairs):
     return maps, X, gamma
 
 
-def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy"):
+def alternate(maps, X, stacks, map_sweep, hp: Hyperparams):
     """Alternate latent and map sweeps until the objective stalls.
 
     `stacks(maps)` returns the (G, P, znorm) stacks of the maps and
@@ -566,7 +575,7 @@ def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy"):
     (maps, X, FitHistory).
     """
     G, P, znorm = stacks(maps)
-    J_prev = J0 = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
+    J_prev = J0 = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp)
     trace = []
     inner = []
     stop_reason = "max_iter"
@@ -588,19 +597,19 @@ def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy"):
                 G_c, P_c, _ = stacks(maps_c)
                 s_c = residual_sq_from_stacks(G_c, P_c, znorm, X_c)
                 # s, from the last map sweep, is unchanged by the gauge step
-                if _objective(s_c, G_c, X_c, hp, loss) <= _objective(s, G, X, hp, loss):
+                if _objective(s_c, G_c, X_c, hp) <= _objective(s, G, X, hp):
                     maps, X, G, P = balance_gauge(maps_c, X_c, G_c, P_c, hp)
                     extrapolations += bool(gamma.any())
             start = maps, X
         X, x_iters, s = sweep_latents(
-            G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss
+            G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner
         )
-        record("x-update", _objective(s, G, X, hp, loss))
+        record("x-update", _objective(s, G, X, hp))
 
         maps, w_iters = map_sweep(X, maps)
         G, P, znorm = stacks(maps)
         s = residual_sq_from_stacks(G, P, znorm, X)
-        J = _objective(s, G, X, hp, loss)
+        J = _objective(s, G, X, hp)
         record("W-update", J)
         inner.append((int(np.max(x_iters)), int(w_iters)))
 
@@ -610,9 +619,9 @@ def alternate(maps, X, stacks, map_sweep, hp: Hyperparams, loss="cauchy"):
         J_prev = J
 
     X, x_iters, s = sweep_latents(
-        G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss
+        G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner
     )
-    record("x-update", _objective(s, G, X, hp, loss))
+    record("x-update", _objective(s, G, X, hp))
     inner.append((int(np.max(x_iters)), 0))
 
     history = FitHistory(
@@ -687,7 +696,7 @@ def _ridge_maps(X, views, C1: float) -> list:
     return [_spd_solve(H, X.T @ np.asarray(Z)).T for Z in views]
 
 
-def fit(dataset: MultiViewDataset, hp: Hyperparams, init=None, loss: str = "cauchy"):
+def fit(dataset: MultiViewDataset, hp: Hyperparams, init=None):
     """Fit the linear model: initialization and shape checks around one
     call of `alternate` with explicit-map stacks and `fit_view_map`.
 
@@ -695,12 +704,8 @@ def fit(dataset: MultiViewDataset, hp: Hyperparams, init=None, loss: str = "cauc
     sweep runs after the outer loop so the stored embedding is the exact
     per-example minimizer for the returned maps, which makes
     out-of-sample embedding of a training example reproduce its stored
-    coordinate. `loss="l2"` swaps in unit weights and squared error,
-    giving the alternating ridge baseline with identical structure. The
-    result depends only on (dataset, hp, init, loss).
+    coordinate. The result depends only on (dataset, hp, init).
     """
-    if loss not in ("cauchy", "l2"):
-        raise ValueError(f"unknown loss {loss!r}")
     views = dataset.views
     n, d = dataset.n, hp.d
     if init is not None:
@@ -722,8 +727,8 @@ def fit(dataset: MultiViewDataset, hp: Hyperparams, init=None, loss: str = "cauc
     W, X, history = alternate(
         W, X,
         lambda W: _view_stacks(views, W),
-        _map_sweep(_pad_views(views), znorm, hp, loss),
-        hp, loss,
+        _map_sweep(_pad_views(views), znorm, hp),
+        hp,
     )
     model = IntactModel(
         mode="linear",
@@ -732,3 +737,34 @@ def fit(dataset: MultiViewDataset, hp: Hyperparams, init=None, loss: str = "cauc
         hyperparams=hp,
     )
     return model, IntactEmbedding(X), history
+
+
+def l2_fit(dataset: MultiViewDataset, hp: Hyperparams):
+    """The squared-error baseline: the exact minimizer of the alternation
+    objective with squared error in place of the Cauchy loss (Cai, Candes
+    & Shen 2010; Mazumder, Hastie & Tibshirani 2010).
+
+    With a = C1/m and b = C2/n it keeps the top d singular values of the
+    concatenated views shrunk by tau = sqrt(ab) m n, clipped at 0, and
+    factors them at the balanced gauge: X = U sqrt(S) (a/b)^(1/4) and
+    [W_1; ...; W_m] = V sqrt(S) (b/a)^(1/4). With C1 or C2 zero, tau is 0
+    and the gauge the unit one, as `balance_gauge` skips itself there.
+    Columns past min(n, sum_v D_v), or shrunk to 0, are exactly 0.
+    Returns (IntactModel, IntactEmbedding).
+    """
+    m, n, d = len(dataset.views), dataset.n, hp.d
+    a, b = hp.C1 / m, hp.C2 / n
+    U, S, Vt = np.linalg.svd(np.hstack(dataset.views), full_matrices=False)
+    r = min(d, S.size)
+    root = np.sqrt(np.maximum(S[:r] - np.sqrt(a * b) * m * n, 0.0))
+    gauge = (a / b) ** 0.25 if a > 0.0 and b > 0.0 else 1.0
+    X, W = np.zeros((n, d)), np.zeros((Vt.shape[1], d))
+    X[:, :r] = U[:, :r] * (root * gauge)
+    W[:, :r] = Vt[:r].T * (root / gauge)
+    model = IntactModel(
+        mode="linear",
+        W=tuple(map(freeze_array, np.split(W, np.cumsum(dataset.view_dims)[:-1]))),
+        kernel_part=None,
+        hyperparams=hp,
+    )
+    return model, IntactEmbedding(X)

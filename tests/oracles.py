@@ -117,7 +117,7 @@ def load_matrix_csv_lines(path):
     return np.asarray(rows, dtype=np.float64)
 
 
-def fit_view_map(Z, X, W0, c, C1, tol_x, max_inner, loss="cauchy", offset=0.0):
+def fit_view_map(Z, X, W0, c, C1, tol_x, max_inner, offset=0.0):
     """Reweighted solve of one view map against fixed latents, one view at
     a time: residuals formed explicitly as Z - X W^T, plus `offset` (scalar
     or per row), weights at the current map, then
@@ -128,7 +128,7 @@ def fit_view_map(Z, X, W0, c, C1, tol_x, max_inner, loss="cauchy", offset=0.0):
     for k in range(max_inner):
         R = Z - X @ W.T
         s = np.sum(R * R, axis=1) + offset
-        q = np.ones(n) if loss == "l2" else 1.0 / (c * c + s)
+        q = 1.0 / (c * c + s)
         QX = X * q[:, None]
         W_new = np.linalg.solve(X.T @ QX + n * C1 * np.eye(d), QX.T @ Z).T
         delta = float(np.linalg.norm(W_new - W))
@@ -145,7 +145,7 @@ def _atom_stacks(A_list, grams):
     return G, np.stack(KA), np.stack([np.diag(K) for K in grams])
 
 
-def fit_atoms(K, X, A0, c, C1, tol_x, max_inner, loss="cauchy"):
+def fit_atoms(K, X, A0, c, C1, tol_x, max_inner):
     """Reweighted solve of one view's atom matrix against fixed latents:
     A = diag(Q) X (X^T diag(Q) X + n C1 I)^{-1}, weights Q at the current
     atoms, until the atoms move by at most tol_x (Frobenius)."""
@@ -155,7 +155,7 @@ def fit_atoms(K, X, A0, c, C1, tol_x, max_inner, loss="cauchy"):
         KA = K @ A
         s = np.diag(K) - 2.0 * np.sum(KA * X, axis=1) + np.sum((X @ (A.T @ KA)) * X, axis=1)
         s = np.maximum(s, 0.0)
-        q = np.ones(n) if loss == "l2" else 1.0 / (c * c + s)
+        q = 1.0 / (c * c + s)
         QX = X * q[:, None]
         A_new = np.linalg.solve(X.T @ QX + n * C1 * np.eye(d), QX.T).T
         delta = float(np.linalg.norm(A_new - A))
@@ -178,7 +178,7 @@ def feature_start(grams, d):
     return X
 
 
-def kernel_fit_atoms(dataset, hp, kernel, loss="cauchy"):
+def kernel_fit_atoms(dataset, hp, kernel):
     """Kernel fit in atom coordinates: the library's Grams and driver
     (`optimizer.alternate`), with `fit_atoms` as the map solver and the
     atoms started at X (X^T X + n C1 I)^{-1}. A linear kernel starts from
@@ -202,19 +202,19 @@ def kernel_fit_atoms(dataset, hp, kernel, loss="cauchy"):
 
     def sweep(X, A_list):
         out = [
-            fit_atoms(K, X, A, hp.c, hp.C1, hp.tol_x, hp.max_inner, loss)
+            fit_atoms(K, X, A, hp.c, hp.C1, hp.tol_x, hp.max_inner)
             for K, A in zip(grams, A_list)
         ]
         return [A for A, _ in out], max(k for _, k in out)
 
     A, X, history = alternate(
         [A_shared.copy() for _ in grams], X,
-        lambda A: _atom_stacks(A, grams), sweep, hp, loss,
+        lambda A: _atom_stacks(A, grams), sweep, hp,
     )
     return A, grams, X, history
 
 
-def alternate_plain(maps, X, stacks, map_sweep, hp, loss="cauchy"):
+def alternate_plain(maps, X, stacks, map_sweep, hp):
     """`optimizer.alternate` without the Anderson step: every outer
     iteration but the first opens with the gauge step, then one latent
     sweep and one map sweep, until the objective changes by at most
@@ -230,7 +230,7 @@ def alternate_plain(maps, X, stacks, map_sweep, hp, loss="cauchy"):
     )
 
     G, P, znorm = stacks(maps)
-    J_prev = J0 = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
+    J_prev = J0 = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp)
     trace, inner = [], []
     stop_reason = "max_iter"
 
@@ -240,9 +240,9 @@ def alternate_plain(maps, X, stacks, map_sweep, hp, loss="cauchy"):
 
     def latent_sweep(X):
         X, x_iters, s = sweep_latents(
-            G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner, loss
+            G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner
         )
-        record("x-update", _objective(s, G, X, hp, loss))
+        record("x-update", _objective(s, G, X, hp))
         return X, int(np.max(x_iters))
 
     for it in range(hp.max_outer):
@@ -251,7 +251,7 @@ def alternate_plain(maps, X, stacks, map_sweep, hp, loss="cauchy"):
         X, x_iters = latent_sweep(X)
         maps, w_iters = map_sweep(X, maps)
         G, P, znorm = stacks(maps)
-        J = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp, loss)
+        J = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp)
         record("W-update", J)
         inner.append((x_iters, int(w_iters)))
         if abs(J - J_prev) <= hp.tol_obj * max(1.0, abs(J_prev)):
@@ -268,6 +268,17 @@ def alternate_plain(maps, X, stacks, map_sweep, hp, loss="cauchy"):
         stop_reason=stop_reason,
     )
     return maps, X, history
+
+
+def l2_objective(views, W_list, X, C1, C2):
+    """The alternation objective with squared error in place of the
+    Cauchy loss, from explicit residuals Z_v - X W_v^T."""
+    m, n = len(views), len(X)
+    total = 0.0
+    for Z, W in zip(views, W_list):
+        R = np.asarray(Z, dtype=float) - X @ np.asarray(W).T
+        total += float(np.sum(R * R)) / (m * n) + C1 / m * float(np.sum(np.square(W)))
+    return total + C2 / n * float(np.sum(X * X))
 
 
 def svt_objective(views, d, C1, C2):

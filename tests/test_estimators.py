@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intact import EstimatorKind, baseline_rho, cauchy_psi, cauchy_rho, residual_weight
+from intact import cauchy_psi, cauchy_rho, residual_weight
 from intact.errors import NegativeResidual, NonPositiveScale
 
 finite = st.floats(-1e8, 1e8, allow_nan=False, allow_infinity=False)
@@ -66,17 +66,6 @@ def test_rho_monotone_in_magnitude(a, b):
     assert cauchy_rho(hi, 1.0) >= cauchy_rho(lo, 1.0) - 1e-12
 
 
-def test_baselines():
-    l2 = EstimatorKind.l2()
-    assert baseline_rho(l2, 2.0) == 2.0
-    l1_sharp = EstimatorKind.l1(1e-12)
-    assert math.isclose(baseline_rho(l1_sharp, -3.0), 3.0, rel_tol=1e-9)
-    l1 = EstimatorKind.l1(1.0)
-    assert baseline_rho(l1, 0.0) == 0.0
-    cauchy = EstimatorKind.cauchy(2.0)
-    assert math.isclose(baseline_rho(cauchy, 2.0), math.log(2.0), rel_tol=1e-15)
-
-
 def test_scale_errors():
     with pytest.raises(NonPositiveScale):
         cauchy_rho(1.0, 0.0)
@@ -86,9 +75,3 @@ def test_scale_errors():
         residual_weight(1.0, 0.0)
     with pytest.raises(NegativeResidual):
         residual_weight(-1e-9, 1.0)
-    with pytest.raises(NonPositiveScale):
-        EstimatorKind.cauchy(0.0)
-    with pytest.raises(ValueError):
-        EstimatorKind.l1(0.0)
-    with pytest.raises(ValueError):
-        EstimatorKind(kind="huber")

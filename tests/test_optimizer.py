@@ -27,7 +27,6 @@ from intact.optimizer import (
     _audit_descent,
     _example_stacks,
     _view_stacks,
-    alternation_objective,
     sweep_latents,
 )
 from oracles import (
@@ -439,36 +438,6 @@ def test_batched_sweep_matches_single_solves():
     for i in range(12):
         res = solve_x([Z[i] for Z in views], model, np.zeros(2), hp)
         assert np.max(np.abs(res.solution - X_batch[i])) < 1e-6
-
-
-def test_l2_fit_matches_hand_ridge_alternation():
-    # one outer iteration of the unit-weight baseline on a closed-form
-    # solvable instance: x = W z / (W^2 + C2), W = sum zQx / (sum xQx + n C1)
-    hp = Hyperparams(d=1, c=1.0, C1=0.5, C2=0.5, seed=0, max_outer=1)
-    Z = np.array([[2.0], [4.0]])
-    ds = validate_dataset([Z])
-    init_model = make_model([np.array([[1.0]])], hp)
-    X0 = np.array([[1.0], [1.0]])
-    model, emb, hist = fit(ds, hp, init=(init_model, X0), loss="l2")
-    x1 = np.array([2.0, 4.0]) / 1.5
-    w1 = (Z[:, 0] @ x1) / (x1 @ x1 + 2 * 0.5)
-    assert math.isclose(model.W[0][0, 0], w1, rel_tol=1e-12)
-    x_final = w1 * np.array([2.0, 4.0]) / (w1 * w1 + 0.5)
-    assert np.allclose(emb.X[:, 0], x_final, rtol=1e-12)
-    assert hist.monotone_within(1e-9)
-
-
-def test_alternation_objective_l2():
-    rng = np.random.default_rng(2)
-    hp = Hyperparams(d=1, C1=0.1, C2=0.2)
-    W = [rng.normal(size=(2, 1))]
-    X = rng.normal(size=(3, 1))
-    Z = rng.normal(size=(3, 2))
-    val = alternation_objective([Z], W, X, hp, loss="l2")
-    want = float(np.sum((Z - X @ W[0].T) ** 2)) / 3 + 0.1 * float(
-        np.sum(W[0] ** 2)
-    ) + 0.2 * float(np.sum(X**2)) / 3
-    assert abs(val - want) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
