@@ -17,11 +17,6 @@ from .core import (
     standardize_views,
     validate_dataset,
 )
-from .estimators import (
-    cauchy_psi,
-    cauchy_rho,
-    residual_weight,
-)
 from .evaluate import (
     AlignmentScore,
     RobustnessReport,
@@ -44,26 +39,18 @@ from .kernel import (
     KernelModel,
     KernelSpec,
     gram,
-    kernel_embed,
     kernel_embed_many,
     kernel_fit,
-    kernel_residual_sq,
-    kernel_w_norm_sq,
     median_heuristic_gamma,
 )
 from .optimizer import (
-    SubproblemResult,
     alternation_objective,
     fit,
     grad_x,
     majorant_curvature,
     majorant_value,
     objective_full,
-    objective_w,
     objective_x,
-    solve_w,
-    solve_x,
-    update_w_once,
     update_x_once,
 )
 from .synth import (
@@ -91,12 +78,9 @@ __all__ = [
     "RobustnessReport",
     "StabilityReport",
     "StandardizeRecord",
-    "SubproblemResult",
     "add_window_noise",
     "align_to_truth",
     "alternation_objective",
-    "cauchy_psi",
-    "cauchy_rho",
     "embed_example",
     "embed_examples",
     "errors",
@@ -105,11 +89,8 @@ __all__ = [
     "gen_s_curve",
     "grad_x",
     "gram",
-    "kernel_embed",
     "kernel_embed_many",
     "kernel_fit",
-    "kernel_residual_sq",
-    "kernel_w_norm_sq",
     "knn_classify",
     "load_xyz_point_cloud",
     "local_convexity_check",
@@ -119,18 +100,13 @@ __all__ = [
     "map_spectral_norms",
     "median_heuristic_gamma",
     "objective_full",
-    "objective_w",
     "objective_x",
     "project_to_planes",
     "reconstruction_error",
-    "residual_weight",
     "robustness_benchmark",
-    "solve_w",
-    "solve_x",
     "stability_bound",
     "stability_probe",
     "standardize_views",
-    "update_w_once",
     "update_x_once",
     "validate_dataset",
     "view_losses",

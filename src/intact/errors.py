@@ -25,10 +25,6 @@ class NonPositiveScale(IntactError, ValueError):
     """The Cauchy scale parameter must be strictly positive."""
 
 
-class NegativeResidual(IntactError, ValueError):
-    """Squared residual norms cannot be negative."""
-
-
 class SingularSystem(IntactError):
     """A reweighted normal-equation system was not positive definite."""
 

@@ -10,10 +10,10 @@ from .core import Hyperparams, IntactModel
 from .errors import ZeroRegularizer
 from .estimators import rho_sq
 from .optimizer import (
+    _as_latent,
     _example_objectives,
     _example_stacks,
     residual_sq_from_stacks,
-    solve_x,
     sweep_latents,
 )
 
@@ -44,13 +44,13 @@ class StabilityReport:
 def embed_example(z_new, model: IntactModel, hp: Hyperparams = None, x0=None) -> np.ndarray:
     """Latent coordinate of a new multi-view example.
 
-    Minimizes the per-example objective with the trained maps via the
-    reweighted solver, starting from zero unless x0 is given.
+    Minimizes the per-example objective with the trained maps: the batched
+    latent sweep on one row, starting from zero unless x0 is given.
     """
     hp = hp or model.hyperparams
-    if x0 is None:
-        x0 = np.zeros(hp.d)
-    return solve_x(z_new, model, x0, hp).solution
+    G, P, znorm = _example_stacks(z_new, model)
+    X0 = _as_latent(np.zeros(hp.d) if x0 is None else x0, G)
+    return sweep_latents(G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, hp.max_inner)[0][0]
 
 
 def embed_examples(view_rows, model: IntactModel, hp: Hyperparams = None):
@@ -69,8 +69,8 @@ def view_losses(z_views, model: IntactModel, x, hp: Hyperparams = None) -> np.nd
     """Per-view Cauchy losses log(1 + ||z^v - W_v x||^2 / c^2), with c from
     hp (default: the model's hyperparameters)."""
     hp = hp or model.hyperparams
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    s = residual_sq_from_stacks(*_example_stacks(z_views, model), x)[:, 0]
+    stacks = _example_stacks(z_views, model)
+    s = residual_sq_from_stacks(*stacks, _as_latent(x, stacks[0]))[:, 0]
     return rho_sq(s, hp.c)
 
 
@@ -114,15 +114,15 @@ def local_convexity_check(
     """Sampled midpoint-convexity audit of the per-example objective, with
     c and C2 from hp (default: the model's hyperparameters), in a ball
     around `center`; the stability bound's derivation assumes it."""
+    stacks = _example_stacks(z_views, model)
+    center = _as_latent(center, stacks[0])[0]
     rng = np.random.default_rng(seed)
-    center = np.asarray(center, dtype=np.float64).reshape(-1)
-    d = center.shape[0]
     # row k holds a_k then b_k: the order of drawing one vector at a time
-    ab = center + radius * rng.normal(size=(n_samples, 2, d))
+    ab = center + radius * rng.normal(size=(n_samples, 2, center.shape[0]))
     a, b = ab[:, 0], ab[:, 1]
     X = np.vstack([a, b, 0.5 * (a + b)])
     hp = hp or model.hyperparams
-    J = _example_objectives(_example_stacks(z_views, model), X, hp.c, hp.C2)
+    J = _example_objectives(stacks, X, hp.c, hp.C2)
     ja, jb, jm = np.split(J, 3)
     bound = 0.5 * (ja + jb)
     return not np.any(jm > bound + 1e-10 * np.maximum(1.0, np.abs(bound)))
@@ -157,11 +157,11 @@ def stability_probe(
     if not 0 <= coord_index < zs[view_index].shape[0]:
         raise IndexError(f"coordinate index {coord_index} out of range")
 
-    x = solve_x(zs, model, np.zeros(hp.d), hp).solution
+    x = embed_example(zs, model, hp)
     z_hat = [z.copy() for z in zs]
     z_hat[view_index][coord_index] += tau
     # tau = 0 poses the identical problem; re-solving would only add noise
-    x_hat = x if tau == 0.0 else solve_x(z_hat, model, x, hp).solution
+    x_hat = x if tau == 0.0 else embed_example(z_hat, model, hp, x0=x)
 
     losses = view_losses(zs, model, x, hp) - view_losses(z_hat, model, x_hat, hp)
     measured = float(np.sum(np.abs(losses)))

@@ -219,30 +219,6 @@ def _atom_stacks(km_A, grams):
     return np.stack([A.T @ P for A, P in zip(km_A, KA)]), KA
 
 
-def kernel_residual_sq(i: int, v: int, x, km: KernelModel) -> float:
-    """Feature-space squared residual of training example i on view v at
-    latent point x, k(z_i,z_i) - 2 k_i^T A_v x + x^T G_v x; round-off
-    negativity is clamped to zero."""
-    if not 0 <= v < len(km.A):
-        raise IndexError(f"view index {v} out of range")
-    K = km.gram[v]
-    if not 0 <= i < K.shape[0]:
-        raise IndexError(f"example index {i} out of range")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    val = float(K[i, i] - 2.0 * (K[i] @ (km.A[v] @ x)) + x @ km.G[v] @ x)
-    return max(val, 0.0)
-
-
-def kernel_w_norm_sq(v: int, km: KernelModel) -> float:
-    """Squared feature-space norm of view v's map: trace(A^T K A).
-
-    This is the Frobenius norm of the implicit map, the unique reading
-    under which explicit (linear-kernel) features reproduce the linear
-    model's penalty exactly.
-    """
-    return float(np.trace(km.G[v]))
-
-
 def kernel_alternation_objective(km_A, grams, X, hp: Hyperparams) -> float:
     """The alternation objective in atom coordinates, on the stacks
     A_v^T K_v A_v, K_v A_v and diag(K_v)."""
@@ -331,10 +307,3 @@ def kernel_embed_many(z_rows, km: KernelModel, hp: Hyperparams):
     model = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)
     return embed_examples(z_rows, model, hp)
 
-
-def kernel_embed(z_new, km: KernelModel, hp: Hyperparams) -> np.ndarray:
-    """Latent coordinate of one new multi-view example, found by the same
-    reweighted solver used in training, via cross-kernels against the
-    retained training views."""
-    rows = [np.asarray(z, dtype=np.float64).reshape(1, -1) for z in z_new]
-    return kernel_embed_many(rows, km, hp)[0]

@@ -39,10 +39,10 @@ Residuals, weights, every objective, reconstruction errors, map norms and
 the map penalty ||W_v||_F^2 = trace(G_v) follow from them, in both modes.
 Kernel mode (kernel.py) runs the driver and the one map solver,
 `fit_view_map`, on exact kernel features, with diag K_v as row norms.
-The per-example functions (`objective_x`, `grad_x`, `update_x_once`,
-`solve_x`, `majorant_*`) are the batched latent step at n = 1, valued by
-`_example_objectives`; `update_w_once` and `solve_w` are the map sweep
-at m = 1.
+There is one solver per block: embedding an example is `sweep_latents`
+on one row. The per-example diagnostics (`objective_x`, `grad_x`,
+`update_x_once`, `majorant_*`) are the batched latent step at n = 1,
+valued by `_example_objectives`.
 
 `objective_full` keeps the sum-normalized penalties for standalone use.
 Over the gauge, either objective's penalties are 2 sqrt(w1 w2) times the
@@ -55,7 +55,6 @@ soft-thresholded SVD of the concatenated views.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +67,7 @@ from .core import (
     as_matrix,
     freeze_array,
 )
-from .errors import DivergenceDetected, ShapeMismatch, SingularSystem
+from .errors import DivergenceDetected, NonFiniteInput, ShapeMismatch, SingularSystem
 from .estimators import rho_sq, weight_sq
 
 # A half step may exceed exact descent only through round-off; anything
@@ -82,18 +81,6 @@ GAUGE_RCOND = 1e-12
 # The Anderson step extrapolates over this many differences of the last
 # ANDERSON_DEPTH + 1 outer iterations.
 ANDERSON_DEPTH = 3
-
-
-@dataclass(frozen=True, eq=False)
-class SubproblemResult:
-    """Outcome of one inner reweighted solve (latent point or view map)."""
-
-    solution: np.ndarray
-    iterations: int
-    final_residuals: np.ndarray
-    objective_before: float
-    objective_after: float
-    objective_trace: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +110,6 @@ def _spd_solve(H: np.ndarray, B: np.ndarray) -> np.ndarray:
 # residuals, stacks and the objective
 # ---------------------------------------------------------------------------
 
-def _view_residual_sq(Z, X, W) -> np.ndarray:
-    """Squared residual norms ||z_i - W x_i||^2 of one view, shape (n,)."""
-    R = np.asarray(Z, dtype=np.float64) - X @ W.T
-    return np.einsum("ij,ij->i", R, R)
-
-
 def _view_stacks(views, W_list):
     """Per-view quantities the latent sweep and the objective read:
     G_v = W_v^T W_v, P_v = Z_v W_v, and squared row norms of Z_v."""
@@ -142,14 +123,32 @@ def _view_stacks(views, W_list):
 
 
 def _as_rows(view_rows, dims) -> list:
-    """One float row matrix per view, checked against the model's widths."""
+    """One float row matrix per view, checked against the model's widths,
+    for equal row counts and for finite entries."""
     rows = [np.atleast_2d(np.asarray(Z, dtype=np.float64)) for Z in view_rows]
     if len(rows) != len(dims):
         raise ShapeMismatch(f"got {len(rows)} views for a model with {len(dims)}")
     for v, (Z, D) in enumerate(zip(rows, dims)):
         if Z.shape[1] != D:
             raise ShapeMismatch(f"view {v} has {Z.shape[1]} columns, model expects {D}")
+        if Z.shape[0] != rows[0].shape[0]:
+            raise ShapeMismatch(
+                f"view {v} has {Z.shape[0]} rows, view 0 has {rows[0].shape[0]}"
+            )
+        if not np.isfinite(Z).all():
+            raise NonFiniteInput(f"view {v} contains NaN or infinite entries")
     return rows
+
+
+def _as_latent(x, G) -> np.ndarray:
+    """One latent point as a float row (1 x d), checked against the width d
+    of a model's G stack, which serves both modes."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    if x.shape[1] != G.shape[-1]:
+        raise ShapeMismatch(
+            f"latent point has {x.shape[1]} coordinates, model has d = {G.shape[-1]}"
+        )
+    return x
 
 
 def _example_stacks(view_rows, model: IntactModel):
@@ -200,11 +199,9 @@ def alternation_objective(views, W_list, X, hp: Hyperparams) -> float:
 def _model_residual_sq(dataset, model: IntactModel, X):
     """Squared residuals (m x n) of a dataset under a model of either mode,
     and the model's G stack."""
-    views = _as_rows(getattr(dataset, "views", dataset), model.view_dims)
-    for v, Z in enumerate(views):
-        if Z.shape[0] != X.shape[0]:
-            raise ShapeMismatch(f"view {v} has {Z.shape[0]} rows, expected {X.shape[0]}")
-    G, P, znorm = _example_stacks(views, model)
+    G, P, znorm = _example_stacks(getattr(dataset, "views", dataset), model)
+    if znorm.shape[1] != X.shape[0]:  # `_as_rows` made every view's rows equal
+        raise ShapeMismatch(f"view 0 has {znorm.shape[1]} rows, expected {X.shape[0]}")
     return residual_sq_from_stacks(G, P, znorm, X), G
 
 
@@ -221,12 +218,6 @@ def objective_full(dataset, model: IntactModel, X) -> float:
     s, G = _model_residual_sq(dataset, model, X)
     reg_w = float(np.trace(G, axis1=1, axis2=2).sum())
     return data_term(s, hp.c) + hp.C1 * reg_w + hp.C2 * float(np.sum(X * X))
-
-
-def objective_w(view_data, X, W, hp: Hyperparams) -> float:
-    """Per-view objective: mean Cauchy loss across examples + C1 ||W||_F^2."""
-    s = _view_residual_sq(view_data, as_matrix(X), W)
-    return data_term(s, hp.c) + hp.C1 * float(np.sum(W * W))
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +255,17 @@ def _example_objectives(stacks, X, c: float, C2: float) -> np.ndarray:
 def _example_system(z_views, model: IntactModel, x, hp: Hyperparams = None):
     """Stacks, reweighted system (H, rhs) and latent point of one example
     at x, with c and C2 from hp (default: the model's hyperparameters)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
     hp = hp or model.hyperparams
     stacks = _example_stacks(z_views, model)
-    _, H, rhs = _latent_system(*stacks, x[None], hp.c, hp.C2)
-    return stacks, H[0], rhs[0], x
+    x = _as_latent(x, stacks[0])
+    _, H, rhs = _latent_system(*stacks, x, hp.c, hp.C2)
+    return stacks, H[0], rhs[0], x[0]
 
 
 def objective_x(z_views, model: IntactModel, x) -> float:
     """Per-example objective: mean Cauchy loss across views + C2 ||x||^2."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     stacks = _example_stacks(z_views, model)
+    x = _as_latent(x, stacks[0])
     hp = model.hyperparams
     return float(_example_objectives(stacks, x, hp.c, hp.C2)[0])
 
@@ -317,74 +308,6 @@ def majorant_value(x, x_k, z_views, model: IntactModel, hp: Hyperparams = None) 
     delta = np.asarray(x, dtype=np.float64).reshape(-1) - x_k
     J = float(_example_objectives(stacks, x_k[None], hp.c, hp.C2)[0])
     return J + float(delta @ (2.0 * (H @ x_k - rhs) + H @ delta)) / len(stacks[0])
-
-
-def _iterate(update, value, residuals, start, hp: Hyperparams) -> SubproblemResult:
-    """Apply `update` until the iterate moves by at most hp.tol_x, at most
-    hp.max_inner times, recording `value` of every iterate."""
-    cur, trace = start, [value(start)]
-    for _ in range(hp.max_inner):
-        new = update(cur)
-        trace.append(value(new))
-        delta = float(np.linalg.norm(new - cur))
-        cur = new
-        if delta <= hp.tol_x:
-            break
-    return SubproblemResult(
-        solution=cur,
-        iterations=len(trace) - 1,
-        final_residuals=residuals(cur),
-        objective_before=trace[0],
-        objective_after=trace[-1],
-        objective_trace=tuple(trace),
-    )
-
-
-def solve_x(z_views, model: IntactModel, x0, hp: Hyperparams = None) -> SubproblemResult:
-    """Iterate update_x_once until the latent point stops moving.
-
-    Stops when the iterate change drops to hp.tol_x or hp.max_inner is
-    reached. The recorded objective trace is non-increasing.
-    """
-    hp = hp or model.hyperparams
-    stacks = _example_stacks(z_views, model)
-    return _iterate(
-        lambda x: _latent_step(*stacks, x[None], hp.c, hp.C2)[0],
-        lambda x: float(_example_objectives(stacks, x[None], hp.c, hp.C2)[0]),
-        lambda x: residual_sq_from_stacks(*stacks, x[None])[:, 0],
-        np.array(x0, dtype=np.float64).reshape(-1),
-        hp,
-    )
-
-
-def update_w_once(view_data, X, w_current, hp: Hyperparams) -> np.ndarray:
-    """One reweighted update of a view map.
-
-    Per-example weights 1/(c^2 + ||z_i - W x_i||^2) at w_current, then
-    W = (sum_i z_i Q_i x_i^T)(sum_i x_i Q_i x_i^T + n C1 I)^{-1}.
-    """
-    Z = np.asarray(view_data, dtype=np.float64)
-    X = as_matrix(X)
-    W = np.asarray(w_current, dtype=np.float64)
-    if Z.shape[0] != X.shape[0] or W.shape != (Z.shape[1], X.shape[1]):
-        raise ShapeMismatch(
-            f"inconsistent shapes: Z {Z.shape}, X {X.shape}, W {W.shape}"
-        )
-    znorm = np.einsum("ij,ij->i", Z, Z)[None]
-    return fit_view_map(Z[None], znorm, X, W[None], hp.c, hp.C1, hp.tol_x, 1)[0][0]
-
-
-def solve_w(view_data, X, w0, hp: Hyperparams) -> SubproblemResult:
-    """Iterate update_w_once until the view map stops moving (Frobenius)."""
-    Z = np.asarray(view_data, dtype=np.float64)
-    X = as_matrix(X)
-    return _iterate(
-        lambda W: update_w_once(Z, X, W, hp),
-        lambda W: objective_w(Z, X, W, hp),
-        lambda W: _view_residual_sq(Z, X, W),
-        np.array(w0, dtype=np.float64),
-        hp,
-    )
 
 
 # ---------------------------------------------------------------------------

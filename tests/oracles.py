@@ -40,6 +40,17 @@ def objective_x_bruteforce(z_list, W_list, x, c, C2):
     return total / m + C2 * float(np.dot(x, x))
 
 
+def objective_w_bruteforce(Z, X, W, c, C1):
+    """Per-view objective by direct summation: mean Cauchy loss across the
+    examples of one view + C1 ||W||_F^2."""
+    n = len(Z)
+    total = 0.0
+    for z, x in zip(Z, X):
+        r = np.asarray(z, dtype=float) - np.asarray(W) @ np.asarray(x, dtype=float)
+        total += math.log(1.0 + float(r @ r) / (c * c))
+    return total / n + C1 * float(np.sum(np.square(W)))
+
+
 def fd_gradient(f, x, h=1e-6):
     """Central finite differences with per-coordinate scaled steps."""
     x = np.asarray(x, dtype=float)

@@ -12,10 +12,7 @@ from intact import (
     gen_planted_linear,
     gen_s_curve,
     gram,
-    kernel_embed,
     kernel_fit,
-    kernel_residual_sq,
-    kernel_w_norm_sq,
     median_heuristic_gamma,
     project_to_planes,
     validate_dataset,
@@ -23,6 +20,7 @@ from intact import (
 from intact.core import freeze_array
 from intact.errors import GramNotPSD
 from intact.kernel import KernelModel, ensure_psd
+from intact.optimizer import residual_sq_from_stacks
 
 
 def make_kernel_model(Zs, As, kind="linear", gammas=None):
@@ -38,6 +36,13 @@ def make_kernel_model(Zs, As, kind="linear", gammas=None):
         gram=tuple(grams),
         gammas=tuple(gammas),
     )
+
+
+def residual_sq(i, x, km):
+    """Feature-space squared residual of training example i on each view
+    at latent point x, read from the model's stacks."""
+    rows = [Z[i:i + 1] for Z in km.training_views]
+    return residual_sq_from_stacks(*km.stacks(rows), np.reshape(x, (1, -1)))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +168,7 @@ def test_kernel_residual_x_zero_gives_self_kernel():
     km = make_kernel_model([Z], [A], kind="rbf", gammas=[0.5])
     for i in range(4):
         assert math.isclose(
-            kernel_residual_sq(i, 0, np.zeros(2), km), 1.0, rel_tol=1e-12
+            residual_sq(i, np.zeros(2), km)[0], 1.0, rel_tol=1e-12
         )
 
 
@@ -178,7 +183,7 @@ def test_kernel_residual_matches_explicit_features():
     for i in range(10):
         x = rng.normal(size=3)
         want = float(np.sum((Z[i] - W @ x) ** 2))
-        got = kernel_residual_sq(i, 0, x, km)
+        got = residual_sq(i, x, km)[0]
         assert abs(got - want) < 1e-8 * max(1.0, want)
 
 
@@ -188,7 +193,7 @@ def test_kernel_residual_zero_atoms_linear():
     km = make_kernel_model([Z], [np.zeros((5, 2))])
     for i in range(5):
         assert math.isclose(
-            kernel_residual_sq(i, 0, np.ones(2), km),
+            residual_sq(i, np.ones(2), km)[0],
             float(Z[i] @ Z[i]),
             rel_tol=1e-12,
         )
@@ -206,15 +211,7 @@ def test_kernel_residual_clamp_bound():
         Ax = A @ x
         raw = float(K[i, i] - 2.0 * (K[i] @ Ax) + Ax @ (K @ Ax))
         assert raw >= -1e-9 * K[i, i]
-        assert kernel_residual_sq(i, 0, x, km) >= 0.0
-
-
-def test_kernel_residual_index_errors():
-    km = make_kernel_model([np.eye(3)], [np.zeros((3, 1))])
-    with pytest.raises(IndexError):
-        kernel_residual_sq(3, 0, np.zeros(1), km)
-    with pytest.raises(IndexError):
-        kernel_residual_sq(0, 1, np.zeros(1), km)
+        assert residual_sq(i, x, km)[0] >= 0.0
 
 
 def test_kernel_w_norm():
@@ -222,13 +219,12 @@ def test_kernel_w_norm():
     Z = rng.normal(size=(9, 4))
     A = rng.normal(size=(9, 2))
     km = make_kernel_model([Z], [A])
-    assert kernel_w_norm_sq(0, make_kernel_model([Z], [np.zeros((9, 2))])) == 0.0
+    assert np.trace(make_kernel_model([Z], [np.zeros((9, 2))]).G[0]) == 0.0
     W = Z.T @ A
     want = float(np.sum(W * W))
-    assert abs(kernel_w_norm_sq(0, km) - want) < 1e-8 * max(1.0, want)
+    assert abs(np.trace(km.G[0]) - want) < 1e-8 * max(1.0, want)
     km2 = make_kernel_model([Z], [2.0 * A])
-    assert math.isclose(kernel_w_norm_sq(0, km2), 4.0 * kernel_w_norm_sq(0, km),
-                        rel_tol=1e-12)
+    assert math.isclose(np.trace(km2.G[0]), 4.0 * np.trace(km.G[0]), rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +258,7 @@ def test_kernel_fit_degenerate_single_example():
     hp = Hyperparams(d=1, C1=0.0, C2=0.0, seed=0, max_outer=20)
     model, emb, hist = kernel_fit(ds, hp, KernelSpec("linear"))
     km = model.kernel_part
-    for v in range(2):
-        assert kernel_residual_sq(0, v, emb.X[0], km) < 1e-12
+    assert np.all(residual_sq(0, emb.X[0], km) < 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +271,7 @@ def test_kernel_embed_training_self_consistency():
     hp = Hyperparams(d=2, C1=1e-3, C2=1e-3, seed=11)
     model, emb, _ = kernel_fit(ds, hp, KernelSpec("rbf"))
     for i in (0, 7, 14):
-        x = kernel_embed([Z[i] for Z in Zs], model.kernel_part, hp)
+        x = embed_example([Z[i] for Z in Zs], model, hp)
         assert np.max(np.abs(x - emb.X[i])) < 1e-4
 
 
@@ -288,7 +283,7 @@ def test_kernel_embed_linear_matches_linear_embedding():
     m_ker, _, _ = kernel_fit(ds, hp, KernelSpec("linear"))
     z_new = [Z[3] * 1.1 for Z in Zs]
     x_lin = embed_example(z_new, m_lin, hp)
-    x_ker = kernel_embed(z_new, m_ker.kernel_part, hp)
+    x_ker = embed_example(z_new, m_ker, hp)
     assert np.max(np.abs(x_lin - x_ker)) < 1e-6
 
 
@@ -297,11 +292,5 @@ def test_kernel_embed_zeros_is_finite():
     ds = validate_dataset(Zs)
     hp = Hyperparams(d=2, C1=1e-3, C2=1e-2, seed=13)
     model, _, _ = kernel_fit(ds, hp, KernelSpec("rbf"))
-    x = kernel_embed([np.zeros(3), np.zeros(3)], model.kernel_part, hp)
+    x = embed_example([np.zeros(3), np.zeros(3)], model, hp)
     assert np.all(np.isfinite(x))
-
-
-def test_kernel_embed_requires_hyperparams():
-    # a required parameter, not a default that raises when left out
-    with pytest.raises(TypeError, match="hp"):
-        kernel_embed([np.zeros(3)], None)

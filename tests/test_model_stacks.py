@@ -1,5 +1,6 @@
 """Model-level quantities read through the stacks, in both modes:
-reconstruction error, the full objective, map norms and the row guard."""
+reconstruction error, the full objective, map norms, and the guards on
+example rows and latent points."""
 
 import numpy as np
 import pytest
@@ -8,20 +9,27 @@ from intact import (
     Hyperparams,
     KernelSpec,
     NoiseSpec,
+    embed_example,
+    embed_examples,
+    fit,
     gen_s_curve,
+    grad_x,
     gram,
     kernel_fit,
-    kernel_w_norm_sq,
+    local_convexity_check,
     make_noisy_views,
     map_spectral_norms,
     objective_full,
+    objective_x,
     project_to_planes,
     reconstruction_error,
+    stability_probe,
     standardize_views,
     validate_dataset,
+    view_losses,
 )
 from intact.core import IntactModel, freeze_array
-from intact.errors import ShapeMismatch
+from intact.errors import NonFiniteInput, ShapeMismatch
 from intact.kernel import KernelModel
 
 
@@ -65,7 +73,7 @@ def test_kernel_reconstruction_is_final_objective_minus_penalties(kind, n, seed)
     model, emb, hist = kernel_fit(ds, hp, KernelSpec(kind))
     km = model.kernel_part
     m = model.m
-    penalty = hp.C1 / m * sum(kernel_w_norm_sq(v, km) for v in range(m))
+    penalty = hp.C1 / m * sum(np.trace(km.G[v]) for v in range(m))
     penalty += hp.C2 / n * float(np.sum(emb.X * emb.X))
     want = hist.objective_trace[-1][1] - penalty
     got = reconstruction_error(ds, model, emb.X)
@@ -110,3 +118,67 @@ def test_kernel_model_builds_g_once():
         np.testing.assert_allclose(Gv, A.T @ K @ A, rtol=1e-12, atol=1e-12)
     rows = [rng.normal(size=(3, D)) for D in kernel.view_dims]
     assert km.stacks(rows)[0] is G
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    ds = s_curve_dataset(40, 0)
+    hp = Hyperparams(d=2, C1=1e-3, C2=1e-3, seed=0, max_outer=5)
+    models = {"linear": fit(ds, hp)[0], "rbf": kernel_fit(ds, hp, KernelSpec("rbf"))[0]}
+    return models, ds
+
+
+def zero_latents(rows, model):
+    return np.zeros((len(rows[0]), model.hyperparams.d))
+
+
+EXAMPLE_CALLS = {
+    "embed_examples": lambda rows, model: embed_examples(rows, model),
+    "embed_example": lambda rows, model: embed_example(rows, model),
+    "reconstruction_error": lambda rows, model: reconstruction_error(
+        rows, model, zero_latents(rows, model)
+    ),
+    "objective_full": lambda rows, model: objective_full(
+        rows, model, zero_latents(rows, model)
+    ),
+}
+
+
+@pytest.mark.parametrize("defect, error", [
+    ("nan", NonFiniteInput), ("inf", NonFiniteInput), ("row_count", ShapeMismatch),
+])
+@pytest.mark.parametrize("call", sorted(EXAMPLE_CALLS))
+@pytest.mark.parametrize("mode", ["linear", "rbf"])
+def test_malformed_example_rows_raise_typed_errors(fitted_models, mode, call, defect, error):
+    models, ds = fitted_models
+    n = 1 if call == "embed_example" else 3
+    rows = [Z[:n].copy() for Z in ds.views]
+    if defect == "nan":
+        rows[1][0, 0] = np.nan
+    elif defect == "inf":
+        rows[0][n - 1, 1] = np.inf
+    else:
+        rows[2] = rows[2][:-1]
+    with pytest.raises(error):
+        EXAMPLE_CALLS[call](rows, models[mode])
+
+
+LATENT_CALLS = {
+    "embed_example": lambda z, model, x: embed_example(z, model, x0=x),
+    "view_losses": lambda z, model, x: view_losses(z, model, x),
+    "objective_x": lambda z, model, x: objective_x(z, model, x),
+    "grad_x": lambda z, model, x: grad_x(z, model, x),
+    "local_convexity_check": lambda z, model, x: local_convexity_check(z, model, x, 0.1),
+    "stability_probe": lambda z, model, x: stability_probe(
+        z, model, hp=Hyperparams(d=len(x), C1=1e-3, C2=1e-3), tau=1e-3
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LATENT_CALLS))
+@pytest.mark.parametrize("mode", ["linear", "rbf"])
+def test_latent_of_wrong_length_raises_shape_mismatch(fitted_models, mode, call):
+    models, ds = fitted_models
+    z = [Z[0] for Z in ds.views]
+    with pytest.raises(ShapeMismatch, match="latent point has 3 coordinates, model has d = 2"):
+        LATENT_CALLS[call](z, models[mode], np.zeros(3))

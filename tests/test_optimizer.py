@@ -6,6 +6,7 @@ import pytest
 from intact import (
     Hyperparams,
     KernelSpec,
+    embed_example,
     fit,
     gen_planted_linear,
     grad_x,
@@ -13,11 +14,7 @@ from intact import (
     majorant_curvature,
     majorant_value,
     objective_full,
-    objective_w,
     objective_x,
-    solve_w,
-    solve_x,
-    update_w_once,
     update_x_once,
     validate_dataset,
 )
@@ -26,13 +23,14 @@ from intact.errors import DivergenceDetected, ShapeMismatch, SingularSystem
 from intact.optimizer import (
     _audit_descent,
     _example_stacks,
-    _view_stacks,
+    fit_view_map,
     sweep_latents,
 )
 from oracles import (
     fd_gradient,
     grid_min_scalar,
     objective_terms_bruteforce,
+    objective_w_bruteforce,
     objective_x_bruteforce,
 )
 
@@ -54,6 +52,27 @@ def random_instance(seed, n=1, m=3, dims=(5, 5, 5), d=3, c=1.0, C1=0.0, C2=0.1):
     zs = [rng.normal(size=D) for D in dims[:m]]
     x = rng.normal(size=d)
     return model, zs, x, hp
+
+
+def sweep_one_row(zs, model, x0, hp, max_inner=None):
+    """One example's latent solve, the batched sweep on one row: the
+    solution and the row's iteration count."""
+    G, P, znorm = _example_stacks(zs, model)
+    X0 = np.reshape(np.asarray(x0, dtype=float), (1, -1))
+    steps = hp.max_inner if max_inner is None else max_inner
+    X, iters, _ = sweep_latents(G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, steps)
+    return X[0], iters
+
+
+def sweep_one_view(Z, X, W0, hp, max_inner=None):
+    """One view's map solve, the batched map sweep at m = 1: the map and
+    its iteration count."""
+    Z = np.asarray(Z, dtype=float)
+    znorm = np.einsum("ij,ij->i", Z, Z)[None]
+    W0 = np.asarray(W0, dtype=float)[None]
+    steps = hp.max_inner if max_inner is None else max_inner
+    W, iters = fit_view_map(Z[None], znorm, X, W0, hp.c, hp.C1, hp.tol_x, steps)
+    return W[0], int(iters[0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +212,9 @@ def test_solve_x_fixed_point_one_iteration():
     x = np.array([1.0])
     for _ in range(300):
         x = update_x_once([np.array([1.0])], model, x)
-    res = solve_x([np.array([1.0])], model, x, hp)
-    assert res.iterations == 1
-    assert np.allclose(res.solution, x)
+    sol, iters = sweep_one_row([np.array([1.0])], model, x, hp)
+    assert iters.tolist() == [1]
+    assert np.allclose(sol, x)
 
 
 def test_solve_x_scalar_trace_decreasing():
@@ -203,25 +222,23 @@ def test_solve_x_scalar_trace_decreasing():
     # to the fixed point of the reweighted map
     hp = Hyperparams(d=1, c=1.0, C1=0.0, C2=0.5)
     model = make_model([np.array([[1.0]])], hp)
-    res = solve_x([np.array([1.0])], model, np.array([1.0]), hp)
-    assert math.isclose(
-        objective_x([np.array([1.0])], model, np.array([2.0 / 3.0])),
-        res.objective_trace[1],
-        rel_tol=1e-12,
-    )
-    g = grad_x([np.array([1.0])], model, res.solution)
+    z, x0 = [np.array([1.0])], np.array([1.0])
+    sol, iters = sweep_one_row(z, model, x0, hp)
+    # a sweep capped at k steps stops at the k-th iterate of the full solve
+    steps = [sweep_one_row(z, model, x0, hp, k)[0] for k in range(iters[0] + 1)]
+    assert math.isclose(steps[1][0], 2.0 / 3.0, rel_tol=1e-12)
+    assert np.array_equal(steps[-1], sol)
+    g = grad_x(z, model, sol)
     assert abs(g[0]) < 1e-7
-    trace = np.array(res.objective_trace)
+    trace = np.array([objective_x(z, model, x) for x in steps])
     assert np.all(np.diff(trace) <= 1e-15)
     assert trace[-1] < trace[0]
-    assert res.objective_after <= res.objective_before + 1e-9 * abs(res.objective_before)
 
 
 def test_solve_x_reaches_stationarity():
     for seed in range(5):
         model, zs, x0, hp = random_instance(seed, C2=0.1)
-        res = solve_x(zs, model, np.zeros(hp.d), hp)
-        g = grad_x(zs, model, res.solution)
+        g = grad_x(zs, model, embed_example(zs, model, hp))
         assert np.linalg.norm(g) < 1e-6
 
 
@@ -251,13 +268,13 @@ def test_singular_system_when_unregularized_and_rank_deficient():
 
 def test_update_w_zero_residual_fixed_point():
     hp = Hyperparams(d=1, c=1.0, C1=0.0, C2=0.0)
-    W = update_w_once(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]), hp)
+    W, _ = sweep_one_view(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]), hp, 1)
     assert np.allclose(W, [[1.0]])
 
 
 def test_update_w_scalar_value():
     hp = Hyperparams(d=1, c=1.0, C1=0.5, C2=0.0)
-    W = update_w_once(np.array([[2.0]]), np.array([[1.0]]), np.array([[0.0]]), hp)
+    W, _ = sweep_one_view(np.array([[2.0]]), np.array([[1.0]]), np.array([[0.0]]), hp, 1)
     assert math.isclose(W[0, 0], 0.4 / 0.7, rel_tol=1e-15)
 
 
@@ -267,10 +284,10 @@ def test_solve_w_fixed_point_unchanged():
     X = np.array([[1.0]])
     w = np.array([[0.0]])
     for _ in range(300):
-        w = update_w_once(Z, X, w, hp)
-    res = solve_w(Z, X, w, hp)
-    assert res.iterations == 1
-    assert np.allclose(res.solution, w)
+        w, _ = sweep_one_view(Z, X, w, hp, 1)
+    sol, iters = sweep_one_view(Z, X, w, hp)
+    assert iters == 1
+    assert np.allclose(sol, w)
 
 
 def test_solve_w_trace_non_increasing():
@@ -278,8 +295,14 @@ def test_solve_w_trace_non_increasing():
     hp = Hyperparams(d=2, c=1.0, C1=0.05, C2=0.0)
     Z = rng.normal(size=(20, 4))
     X = rng.normal(size=(20, 2))
-    res = solve_w(Z, X, rng.normal(size=(4, 2)), hp)
-    trace = np.array(res.objective_trace)
+    W0 = rng.normal(size=(4, 2))
+    _, iters = sweep_one_view(Z, X, W0, hp)
+    # a sweep capped at k steps stops at the k-th iterate of the full solve
+    trace = np.array([
+        objective_w_bruteforce(Z, X, sweep_one_view(Z, X, W0, hp, k)[0], hp.c, hp.C1)
+        for k in range(iters + 1)
+    ])
+    assert iters > 1
     assert np.all(np.diff(trace) <= 1e-12)
 
 
@@ -288,11 +311,11 @@ def test_solve_w_matches_grid_min_scalar():
     hp = Hyperparams(d=1, c=1.0, C1=0.1, C2=0.0)
     Z = rng.normal(size=(4, 1))
     X = rng.normal(size=(4, 1))
-    res = solve_w(Z, X, np.zeros((1, 1)), hp)
+    W, _ = sweep_one_view(Z, X, np.zeros((1, 1)), hp)
     star = grid_min_scalar(
-        lambda t: objective_w(Z, X, np.array([[t]]), hp), -5.0, 5.0
+        lambda t: objective_w_bruteforce(Z, X, np.array([[t]]), hp.c, hp.C1), -5.0, 5.0
     )
-    assert abs(res.solution[0, 0] - star) < 1e-4
+    assert abs(W[0, 0] - star) < 1e-4
 
 
 def test_solve_w_solve_x_symmetry():
@@ -304,12 +327,12 @@ def test_solve_w_solve_x_symmetry():
     zs = rng.normal(size=n)
     gamma = 0.2
     hp_w = Hyperparams(d=1, c=1.0, C1=gamma, C2=0.0)
-    res_w = solve_w(zs.reshape(-1, 1), xs.reshape(-1, 1), np.zeros((1, 1)), hp_w)
+    W, _ = sweep_one_view(zs.reshape(-1, 1), xs.reshape(-1, 1), np.zeros((1, 1)), hp_w)
 
     hp_x = Hyperparams(d=1, c=1.0, C1=0.0, C2=gamma)
     model = make_model([np.array([[x]]) for x in xs], hp_x)
-    res_x = solve_x([np.array([z]) for z in zs], model, np.zeros(1), hp_x)
-    assert abs(res_w.solution[0, 0] - res_x.solution[0]) < 1e-10
+    x = embed_example([np.array([z]) for z in zs], model, hp_x)
+    assert abs(W[0, 0] - x[0]) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -421,23 +444,6 @@ def test_divergence_audit_raises():
     with pytest.raises(DivergenceDetected):
         _audit_descent(1.0, 1.0 + 1e-3)
     _audit_descent(1.0, 1.0 + 1e-9)  # round-off slack passes
-
-
-def test_batched_sweep_matches_single_solves():
-    rng = np.random.default_rng(17)
-    hp = Hyperparams(d=2, c=1.0, C1=0.0, C2=0.05)
-    dims = (3, 4)
-    W = [rng.normal(size=(D, 2)) for D in dims]
-    model = make_model(W, hp)
-    views = [rng.normal(size=(12, D)) for D in dims]
-    G, P, znorm = _view_stacks(views, W)
-    X0 = np.zeros((12, 2))
-    X_batch, iters, _ = sweep_latents(
-        G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, hp.max_inner
-    )
-    for i in range(12):
-        res = solve_x([Z[i] for Z in views], model, np.zeros(2), hp)
-        assert np.max(np.abs(res.solution - X_batch[i])) < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -2,13 +2,15 @@
 
 import importlib.util
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 SCRIPT = SCRIPTS / "run_s_curve.py"
 
 
@@ -28,6 +30,19 @@ def test_run_s_curve_smoke():
     lines = proc.stdout.splitlines()
     assert len(lines) == 2
     assert all("monotone=True" in line for line in lines)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[-1].endswith("True")
 
 
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
