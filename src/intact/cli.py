@@ -316,7 +316,8 @@ def cmd_eval(cfg: dict, args) -> int:
         view_paths = _resolve_view_paths(cfg, Path("."), "eval")
         _check_paths_exist([model_path, *view_paths], "eval")
         model, record = modelio.load_model(model_path)
-        # not for kernel models: their views and cross-kernels would triple eval time
+        # not for kernel models: their views and cross-kernels would make an
+        # eval about 2.3 times as long
         if model.mode == "linear":
             views = _load_model_views(model, record, view_paths)
             metrics["reconstruction_error"] = reconstruction_error(views, model, X_est)

@@ -107,10 +107,27 @@ class MultiViewDataset:
         return len(self.views)
 
 
+# Largest accepted sum of a view's squared row norms, an eighth of the
+# largest double. Every squared row norm, column sum of squared deviations
+# and squared distance between two accepted rows is at most four times such
+# a sum, so each one, and each step of computing it, stays finite.
+SQ_NORM_LIMIT = np.finfo(np.float64).max / 8
+
+
+def check_sq_norms(v: int, Z: np.ndarray) -> None:
+    """Raise NonFiniteInput naming view v unless the squared row norms of
+    its finite matrix Z sum to at most SQ_NORM_LIMIT."""
+    # einsum overflows to inf without a warning
+    if not np.einsum("ij,ij->", Z, Z) <= SQ_NORM_LIMIT:
+        raise NonFiniteInput(f"view {v} is too large: its squared row norms overflow")
+
+
 def validate_dataset(views: Sequence, labels=None) -> MultiViewDataset:
     """Check and freeze raw view matrices into a MultiViewDataset.
 
-    Rejects empty inputs, inconsistent row counts, and non-finite entries.
+    Rejects empty inputs, inconsistent row counts, non-finite entries, and
+    views whose squared row norms sum above SQ_NORM_LIMIT: their norms,
+    column statistics or kernel distances would overflow.
     """
     if views is None or len(views) == 0:
         raise EmptyView("need at least one view")
@@ -123,6 +140,7 @@ def validate_dataset(views: Sequence, labels=None) -> MultiViewDataset:
             raise EmptyView(f"view {v} is empty (shape {arr.shape})")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteInput(f"view {v} contains NaN or infinite entries")
+        check_sq_norms(v, arr)
         frozen.append(freeze_array(arr))
     n = frozen[0].shape[0]
     for v, arr in enumerate(frozen):

@@ -36,6 +36,18 @@ diagonal shift. The check that `gram` and `load_model` make first tries
 a Cholesky factorization of K + |PSD_JITTER_TRIGGER| I, which succeeds
 only when no eigenvalue lies below the trigger and costs a fraction of
 `eigvalsh`; only a failed factorization computes the eigenvalues.
+
+An rbf block k(a_i, b_j) = exp(-gamma ||a_i - b_j||^2) is evaluated in
+the one n_a x n_b buffer that the product Za Zb^T allocates
+(`_sq_distances`): it is scaled by -2, the squared row norms are added,
+the result is clamped at 0, scaled by -gamma and exponentiated in place,
+so a block peaks at about its own size (1.09x its bytes for a 1000 x 100
+block under tracemalloc) and costs one allocation, not one per step. Every
+step stays finite because `core.validate_dataset`, and `load_model` for
+a model's training views, reject a view whose squared row norms sum
+above `core.SQ_NORM_LIMIT`, an eighth of the largest double: no norm, cross term or squared distance between accepted
+rows can then overflow, and a far pair's exp underflows to exactly 0
+without a warning.
 """
 
 from __future__ import annotations
@@ -99,9 +111,7 @@ def median_heuristic_gamma(Z) -> float:
     n = Z.shape[0]
     if n < 2:
         return 1.0
-    sq = np.einsum("ij,ij->i", Z, Z)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T)
-    med = float(np.median(d2[np.triu_indices(n, k=1)]))
+    med = float(np.median(_sq_distances(Z, Z)[np.triu_indices(n, k=1)]))
     if med <= 0:
         return 1.0
     return 1.0 / med
@@ -158,10 +168,21 @@ def cross_gram(Za, Zb, kind: str, gamma: Optional[float]) -> np.ndarray:
         )
     if kind == "linear":
         return Za @ Zb.T
-    sa = np.einsum("ij,ij->i", Za, Za)
-    sb = np.einsum("ij,ij->i", Zb, Zb)
-    d2 = np.maximum(sa[:, None] + sb[None, :] - 2.0 * (Za @ Zb.T), 0.0)
-    return np.exp(-gamma * d2)
+    K = _sq_distances(Za, Zb)
+    K *= -gamma
+    return np.exp(K, out=K)
+
+
+def _sq_distances(Za, Zb) -> np.ndarray:
+    """Squared distances ||a_i - b_j||^2 between the rows of Za and Zb as
+    ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j, every step written into the one
+    n_a x n_b buffer of the product and clamped at 0 against the
+    cancellation of near-equal rows."""
+    D = Za @ Zb.T
+    D *= -2.0
+    D += np.einsum("ij,ij->i", Za, Za)[:, None]
+    D += np.einsum("ij,ij->i", Zb, Zb)
+    return np.maximum(D, 0.0, out=D)
 
 
 def gram(view_data, kernel: KernelSpec) -> np.ndarray:

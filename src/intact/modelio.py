@@ -31,6 +31,7 @@ from .core import (
     Hyperparams,
     IntactModel,
     StandardizeRecord,
+    check_sq_norms,
     freeze_array,
 )
 from .errors import GramNotPSD, ParseError
@@ -306,9 +307,11 @@ def load_model(path):
     """Read a model file back into (IntactModel, StandardizeRecord or None).
 
     Kernel-mode Gram caches are recomputed from the retained training
-    views and stored gammas. A malformed number, a rejected hyperparameter
-    and a block whose index or shape disagrees with the header (m, d,
-    n_train, view_dims) all raise ParseError with the line number.
+    views and stored gammas. A malformed number, a rejected hyperparameter,
+    a standardization mean that is not finite or scale that is not finite
+    and > 0, a block whose index or shape disagrees with the header (m, d,
+    n_train, view_dims) and a training view that `core.check_sq_norms`
+    rejects all raise ParseError with the line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cur = _Cursor(fh.readlines(), path)
@@ -344,7 +347,13 @@ def load_model(path):
                     cur.fail("standardization record out of order")
                 if len(parts) - 1 != view_dims[v]:
                     cur.fail(f"expected {view_dims[v]} values for view {v}")
-                out.append(freeze_array(cur.numbers(parts[1:])))
+                values = cur.numbers(parts[1:])
+                # standardize_views writes finite means and scales > 0
+                if keyword == "mean" and not all(-np.inf < x < np.inf for x in values):
+                    cur.fail(f"view {v}: means must be finite")
+                if keyword == "scale" and not all(0.0 < x < np.inf for x in values):
+                    cur.fail(f"view {v}: scales must be finite and > 0")
+                out.append(freeze_array(values))
         record = StandardizeRecord(means=tuple(means), scales=tuple(scales))
 
     if mode == "linear":
@@ -369,6 +378,7 @@ def load_model(path):
             Zv = freeze_array(cur.block("Z", v, n_train, view_dims[v]))
             Zs.append(Zv)
             try:
+                check_sq_norms(v, Zv)
                 K = gram(Zv, KernelSpec(kind, gammas[v]))
             except (ValueError, GramNotPSD, np.linalg.LinAlgError) as exc:
                 cur.fail(f"view {v}: cannot rebuild the Gram matrix: {exc}")

@@ -101,6 +101,30 @@ def test_train_rejects_unknown_keys(tmp_path, synth_out):
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("mode, standardize, value", [
+    ("linear", True, 1e300),
+    ("kernel", True, 1e300),
+    ("linear", False, 1e300),
+    ("kernel", False, 1e160),
+])
+def test_train_rejects_views_whose_squared_norms_overflow(tmp_path, capsys, mode,
+                                                          standardize, value):
+    paths = []
+    for v in range(9):
+        path = tmp_path / f"view_{v}.csv"
+        modelio.save_view_csv(path, np.array([[value, value], [-value, 2.0]]), v)
+        paths.append(str(path))
+    cfg = write_cfg(
+        tmp_path / "train.json",
+        {"views": paths, "mode": mode, "standardize": standardize,
+         "hyperparams": {"d": 1}},
+    )
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert "view 0 is too large" in capsys.readouterr().err
+    assert not (out / "model.txt").exists()
+
+
 def test_train_warns_on_max_iter_stop(tmp_path, synth_out, capsys):
     def train(max_outer, name):
         cfg = write_cfg(

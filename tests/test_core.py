@@ -31,6 +31,24 @@ def test_validate_rejects_nan():
         validate_dataset([bad])
 
 
+@pytest.mark.parametrize("rows", [
+    [[1e300, 1e300], [-1e300, 2.0]],
+    [[1e160, 1e160], [-1e160, -1e160]],
+    [[1e154, 0.0], [0.0, 0.0]],
+], ids=["1e300", "1e160", "1e154"])
+def test_validate_rejects_views_whose_squared_norms_overflow(rows):
+    ok = np.ones((2, 2))
+    with pytest.raises(NonFiniteInput, match="view 2 is too large"):
+        validate_dataset([ok, ok, np.array(rows)])
+
+
+def test_standardize_views_below_the_norm_limit_without_warnings():
+    Z = np.array([[1e153, 0.0], [-1e153, 1.0], [1e153, 2.0]])
+    dataset, record = standardize_views(validate_dataset([Z]))
+    assert np.all(np.isfinite(dataset.views[0]))
+    assert np.all(np.isfinite(record.scales[0]))
+
+
 def test_validate_rejects_empty():
     with pytest.raises(EmptyView):
         validate_dataset([])

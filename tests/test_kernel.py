@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from intact import (
 )
 from intact.core import freeze_array
 from intact.errors import GramNotPSD
-from intact.kernel import KernelModel, ensure_psd
+from intact.kernel import KernelModel, cross_gram, ensure_psd
 from intact.optimizer import residual_sq_from_stacks
 
 
@@ -155,6 +157,51 @@ def test_median_heuristic_positive():
     g = median_heuristic_gamma(Z)
     assert g > 0
     assert median_heuristic_gamma(np.zeros((5, 2))) == 1.0
+
+
+def test_median_heuristic_is_the_median_of_explicit_distances():
+    rng = np.random.default_rng(14)
+    Z = rng.normal(size=(25, 3))
+    d2 = [float(np.sum((Z[i] - Z[j]) ** 2)) for i in range(25) for j in range(i + 1, 25)]
+    assert math.isclose(median_heuristic_gamma(Z), 1.0 / float(np.median(d2)), rel_tol=1e-12)
+
+
+def test_rbf_cross_gram_matches_pairwise_exponentials():
+    # non-square; Zb[2] duplicates Za[4], and Za[6] lies 40 from Zb[0], so
+    # its kernel value exp(-1600) underflows to 0
+    rng = np.random.default_rng(15)
+    Za = rng.normal(size=(7, 3))
+    Zb = rng.normal(size=(5, 3))
+    Zb[2] = Za[4]
+    Za[6] = Zb[0] + np.array([40.0, 0.0, 0.0])
+    g = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = cross_gram(Za, Zb, "rbf", g)
+    want = np.array([[math.exp(-g * float(np.sum((a - b) ** 2))) for b in Zb] for a in Za])
+    assert K.shape == (7, 5)
+    assert np.max(np.abs(K - want)) <= 1e-15
+    assert abs(K[4, 2] - 1.0) <= 1e-15
+    assert K[6, 0] == 0.0
+
+
+@pytest.mark.parametrize("kind, gamma", [("rbf", 0.5), ("linear", None)])
+def test_cross_gram_of_zero_rows_is_empty(kind, gamma):
+    Zb = np.ones((4, 3))
+    assert cross_gram(np.zeros((0, 3)), Zb, kind, gamma).shape == (0, 4)
+
+
+def test_rbf_cross_gram_peak_memory_is_one_block():
+    rng = np.random.default_rng(16)
+    Za, Zb = rng.normal(size=(1000, 2)), rng.normal(size=(100, 2))
+    cross_gram(Za, Zb, "rbf", 0.5)
+    tracemalloc.start()
+    try:
+        K = cross_gram(Za, Zb, "rbf", 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * K.nbytes
 
 
 # ---------------------------------------------------------------------------

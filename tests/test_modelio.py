@@ -103,6 +103,21 @@ def test_inconsistent_header_raises_parse_error_with_line(tmp_path, mutate):
     assert err.value.line_number == index + 1
 
 
+@pytest.mark.parametrize("line", ["scale 0 inf 1", "scale 0 0 1", "mean 0 nan 1"])
+def test_broken_standardization_record_raises_parse_error_at_its_line(tmp_path, line):
+    _, _, Zs = gen_planted_linear(10, [2, 3], 2, seed=0, noise_sigma=0.05)
+    dataset, record = standardize_views(validate_dataset(Zs))
+    model, _, _ = fit(dataset, Hyperparams(d=2, seed=0, max_outer=3))
+    path = tmp_path / "model.txt"
+    modelio.save_model(path, model, record)
+    lines = path.read_text().splitlines()
+    index = _set_line(line.split()[0] + " 0 ", line)(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        modelio.load_model(path)
+    assert err.value.line_number == index + 1
+
+
 def _kernel_lines(tmp_path, kind):
     _, _, Zs = gen_planted_linear(8, [3, 2], 2, seed=1, noise_sigma=0.05)
     hp = Hyperparams(d=2, seed=0, max_outer=3)
@@ -131,6 +146,17 @@ def test_inconsistent_kernel_header_raises_parse_error_with_line(tmp_path, mutat
     with pytest.raises(ParseError) as err:
         modelio.load_model(path)
     assert err.value.line_number == index + 1
+
+
+def test_overflowing_training_view_raises_parse_error(tmp_path):
+    lines = _kernel_lines(tmp_path, "rbf")
+    start = next(k for k, line in enumerate(lines) if line.startswith("Z 1 "))
+    lines[start + 1] = "1e300 1e300"
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="view 1 is too large") as err:
+        modelio.load_model(path)
+    assert err.value.line_number == start + 9  # the block's last row
 
 
 @functools.cache
