@@ -126,17 +126,20 @@ def _noise_from(cfg: dict, where: str, seed: int) -> NoiseSpec:
 
 
 def _resolve_view_paths(cfg: dict, base: Path, where: str) -> list:
-    """Views come either as an explicit path list or via a synth manifest."""
+    """Views come either as an explicit path list or via a synth manifest,
+    a JSON object; either list must be a non-empty array of file names."""
     if cfg.get("views") and cfg.get("manifest"):
         raise ValueError(f"{where}: give either 'views' or 'manifest', not both")
+    holder, root = cfg, base
     if cfg.get("manifest"):
         mpath = base / cfg["manifest"]
         if not mpath.is_file():
             raise MissingInput(f"{where}: manifest {mpath} does not exist")
-        manifest = modelio.load_json(mpath)
-        return [mpath.parent / name for name in manifest["views"]]
-    paths = [base / p for p in _require(cfg, "views", where)]
-    return paths
+        holder, root, where = modelio.load_json(mpath), mpath.parent, f"{where}: manifest {mpath}"
+    names = holder.get("views") if isinstance(holder, dict) else None
+    if not (isinstance(names, list) and names and all(isinstance(p, str) for p in names)):
+        raise ValueError(f"{where}: views must be a non-empty array of file names, got {names!r}")
+    return [root / name for name in names]
 
 
 def _check_paths_exist(paths, where: str):
@@ -420,6 +423,8 @@ def cmd_bench(cfg: dict, args) -> int:
         _real(r, "bench", f"rates[{i}]")
         for i, r in enumerate(_container(cfg, "rates", list, "bench", [0.0, 0.1, 0.2, 0.3]))
     ]
+    if not rates:
+        raise ValueError("bench: rates must name at least one contamination rate")
     for r in rates:
         if not 0.0 <= r < 0.5:
             raise ValueError(f"bench: contamination rate {r} must lie in [0, 0.5)")

@@ -106,12 +106,15 @@ class KernelSpec:
 
 
 def median_heuristic_gamma(Z) -> float:
-    """1 / median pairwise squared distance between rows of Z."""
+    """1 / median pairwise squared distance between rows of Z, over the upper
+    triangle gathered from row slices (no index arrays) and partitioned in place."""
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
     if n < 2:
         return 1.0
-    med = float(np.median(_sq_distances(Z, Z)[np.triu_indices(n, k=1)]))
+    D = _sq_distances(Z, Z)
+    med = float(np.median(np.concatenate([D[i, i + 1:] for i in range(n - 1)]),
+                          overwrite_input=True))
     if med <= 0:
         return 1.0
     return 1.0 / med

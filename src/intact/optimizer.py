@@ -44,12 +44,10 @@ on one row. The per-example diagnostics (`objective_x`, `grad_x`,
 `update_x_once`, `majorant_*`) are the batched latent step at n = 1,
 valued by `_example_objectives`.
 
-`objective_full` keeps the sum-normalized penalties for standalone use.
-Over the gauge, either objective's penalties are 2 sqrt(w1 w2) times the
-nuclear norm of the products W_v x_i (w1, w2 their weights), so the two
-share minimizing products once C1 C2 is scaled by m n. `l2_fit`, the
-squared-error baseline, needs no alternation: its optimum is one
-soft-thresholded SVD of the concatenated views.
+`objective_full` values this same objective for any model and latents,
+so it equals a fit's last recorded objective. `l2_fit`, the squared-error
+baseline, needs no alternation: its optimum is one soft-thresholded SVD
+of the concatenated views.
 """
 
 from __future__ import annotations
@@ -206,18 +204,10 @@ def _model_residual_sq(dataset, model: IntactModel, X):
 
 
 def objective_full(dataset, model: IntactModel, X) -> float:
-    """Joint objective: mean Cauchy reconstruction loss over all (view,
-    example) pairs plus C1 * sum_v ||W_v||_F^2 + C2 * sum_i ||x_i||^2.
-
-    Every fit minimizes the mean-normalized penalties (C1/m, C2/n) of
-    `alternation_objective` instead. The minimizing products W_v x_i
-    coincide once C1 * C2 is scaled by m * n: those here at (C1, C2) are
-    the fits' at any (C1', C2') with C1' C2' = m n C1 C2."""
+    """The objective every fit minimizes (see the module docstring), for a
+    model of either mode at the latent points X of the dataset's rows."""
     X = as_matrix(X)
-    hp = model.hyperparams
-    s, G = _model_residual_sq(dataset, model, X)
-    reg_w = float(np.trace(G, axis1=1, axis2=2).sum())
-    return data_term(s, hp.c) + hp.C1 * reg_w + hp.C2 * float(np.sum(X * X))
+    return _objective(*_model_residual_sq(dataset, model, X), X, model.hyperparams)
 
 
 # ---------------------------------------------------------------------------

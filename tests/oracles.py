@@ -14,7 +14,8 @@ import numpy as np
 
 
 def objective_terms_bruteforce(views, W_list, X, c, C1, C2):
-    """Term-by-term summation of the joint objective (sum-form regularizers)."""
+    """Term-by-term summation of the joint objective: mean Cauchy loss
+    + (C1/m) sum_v ||W_v||_F^2 + (C2/n) sum_i ||x_i||^2."""
     m = len(views)
     n = len(X)
     total = 0.0
@@ -24,9 +25,9 @@ def objective_terms_bruteforce(views, W_list, X, c, C1, C2):
             total += math.log(1.0 + float(r @ r) / (c * c))
     total /= m * n
     for W in W_list:
-        total += C1 * float(np.sum(np.square(W)))
+        total += C1 * float(np.sum(np.square(W))) / m
     for i in range(n):
-        total += C2 * float(np.dot(X[i], X[i]))
+        total += C2 * float(np.dot(X[i], X[i])) / n
     return total
 
 

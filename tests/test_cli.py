@@ -677,3 +677,89 @@ def test_help_lists_every_command():
     )
     assert proc.returncode == 0
     assert "{synth,train,embed,eval,probe,bench}" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["train", "embed", "eval", "probe"])
+@pytest.mark.parametrize("manifest, patch", [
+    ({"seed": 5}, {}),
+    (["view_00.csv"], {}),
+    ({"views": [1, 2]}, {}),
+    ({"views": "abc"}, {}),
+    (None, {"views": [1, 2]}),
+    (None, {"views": "abc"}),
+    (None, {"views": {"0": "view_00.csv"}}),
+], ids=["manifest-without-views", "manifest-array", "manifest-numbers",
+        "manifest-string", "numbers", "string", "object"])
+def test_view_lists_that_are_not_file_name_arrays_are_rejected(
+        tmp_path, capsys, command, manifest, patch):
+    emb = tmp_path / "emb.csv"
+    modelio.save_matrix_csv(emb, np.zeros((4, 2)))
+    cfg = {
+        "train": {"hyperparams": {"d": 2}},
+        "embed": {"model": str(tmp_path / "model.txt")},
+        "eval": {"embedding": str(emb), "truth": str(emb),
+                 "model": str(tmp_path / "model.txt")},
+        "probe": {"model": str(tmp_path / "model.txt")},
+    }[command]
+    if manifest is not None:
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        cfg["manifest"] = str(tmp_path / "manifest.json")
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "cfg.json", {**cfg, **patch})
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {command}") and "views" in lines[0]
+    assert not out.exists()
+
+
+def test_bench_rejects_an_empty_rate_list(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path / "bench.json",
+        {"rates": [], "n": 20, "n_seeds": 1, "hyperparams": {"d": 2}},
+    )
+    assert_rejected(cfg, "bench", tmp_path / "b", "rates", capsys)
+
+
+@pytest.fixture()
+def rbf_trained(tmp_path, synth_out):
+    cfg = write_cfg(
+        tmp_path / "train_rbf.json",
+        {"manifest": str(synth_out / "manifest.json"), "mode": "kernel",
+         "kernel": {"kind": "rbf"},
+         "hyperparams": {"d": 3, "C1": 1e-3, "C2": 1e-3, "seed": 5, "max_outer": 20}},
+    )
+    out = tmp_path / "rbf"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
+def _kernel_eval_cfg(tmp_path, model, synth_out):
+    return write_cfg(
+        tmp_path / "eval_rbf.json",
+        {"embedding": str(synth_out / "truth.csv"), "truth": str(synth_out / "truth.csv"),
+         "model": str(model), "manifest": str(synth_out / "manifest.json")},
+    )
+
+
+def test_eval_on_a_kernel_model_reports_alignment_only(tmp_path, rbf_trained, synth_out):
+    # documented gate: reconstruction_error is computed for linear models only
+    out = tmp_path / "m"
+    cfg = _kernel_eval_cfg(tmp_path, rbf_trained / "model.txt", synth_out)
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+    metrics = modelio.load_json(out / "metrics.json")
+    assert "alignment_residual" in metrics and "reconstruction_error" not in metrics
+
+
+def test_eval_validates_the_kernel_model_it_loads(tmp_path, rbf_trained, synth_out, capsys):
+    lines = (rbf_trained / "model.txt").read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("A 1 ")) + 2
+    parts = lines[i].split()
+    lines[i] = " ".join([parts[0], "abc", *parts[2:]])
+    bad = tmp_path / "bad_model.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m"
+    cfg = _kernel_eval_cfg(tmp_path, bad, synth_out)
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"line {i + 1}" in err[0]
+    assert not out.exists()

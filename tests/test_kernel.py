@@ -166,6 +166,27 @@ def test_median_heuristic_is_the_median_of_explicit_distances():
     assert math.isclose(median_heuristic_gamma(Z), 1.0 / float(np.median(d2)), rel_tol=1e-12)
 
 
+def test_median_heuristic_gathers_no_index_arrays():
+    # the triangle of a 1000-row view: an 8 MB buffer and a 4 MB copy, where
+    # triu_indices added two 4 MB index arrays (20 MB peak)
+    from intact.kernel import _sq_distances
+
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 40, 1000):
+        Z = rng.normal(size=(n, 2))
+        Z[n // 2] = Z[0]  # a zero distance, and a tie at n = 2
+        D = _sq_distances(Z, Z)
+        want = float(np.median(D[np.triu_indices(n, k=1)]))
+        assert median_heuristic_gamma(Z) == (1.0 / want if want > 0 else 1.0)
+    tracemalloc.start()
+    try:
+        median_heuristic_gamma(Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6
+
+
 def test_rbf_cross_gram_matches_pairwise_exponentials():
     # non-square; Zb[2] duplicates Za[4], and Za[6] lies 40 from Zb[0], so
     # its kernel value exp(-1600) underflows to 0

@@ -1,12 +1,28 @@
-"""Properties of the one alternation objective, in both of its forms."""
+"""Properties of the one alternation objective, in both of its forms, and
+`objective_full`, which values it for a fitted model."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intact import Hyperparams, IntactModel, reconstruction_error
+from intact import (
+    Hyperparams,
+    IntactModel,
+    NoiseSpec,
+    fit,
+    gen_s_curve,
+    kernel_fit,
+    make_noisy_views,
+    objective_full,
+    project_to_planes,
+    reconstruction_error,
+    standardize_views,
+    validate_dataset,
+)
+from intact import modelio
 from intact.core import freeze_array
-from intact.kernel import kernel_alternation_objective
+from intact.kernel import KernelSpec, kernel_alternation_objective
 from intact.optimizer import alternation_objective
 
 instances = st.fixed_dictionaries({
@@ -60,3 +76,25 @@ def test_linear_and_gram_stacks_give_one_objective(inst):
     linear = alternation_objective(views, W, X, hp)
     kernel = kernel_alternation_objective(A, [Z @ Z.T for Z in views], X, hp)
     assert abs(kernel - linear) <= 1e-9 * linear
+
+
+@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf"), KernelSpec("linear")],
+                         ids=["fit", "rbf-kernel", "linear-kernel"])
+def test_objective_full_is_the_fits_last_objective(tmp_path, kernel):
+    # README S-curve views: 3 planes x 3 windowed copies at 20 dB
+    raw = make_noisy_views(project_to_planes(gen_s_curve(80, seed=3)),
+                           NoiseSpec(snr_db=20.0, copies_per_base=3, seed=3))
+    ds, record = standardize_views(validate_dataset(raw))
+    hp = Hyperparams(d=3, C1=1e-3, C2=1e-3, seed=3)
+    if kernel is None:
+        model, emb, hist = fit(ds, hp)
+    else:
+        model, emb, hist = kernel_fit(ds, hp, kernel)
+    last = hist.objective_trace[-1][1]
+    assert abs(objective_full(ds, model, emb.X) - last) <= 1e-12 * last
+
+    path = tmp_path / "model.txt"
+    modelio.save_model(path, model, record)
+    loaded, loaded_record = modelio.load_model(path)
+    again = objective_full(loaded_record.apply(raw), loaded, emb.X)
+    assert abs(again - last) <= 1e-12 * last

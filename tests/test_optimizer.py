@@ -126,7 +126,7 @@ def test_objective_x_consistent_with_full_n1():
     per_example = objective_x(zs, model, x)
     ds = validate_dataset([z.reshape(1, -1) for z in zs])
     full = objective_full(ds, model, x.reshape(1, -1))
-    reg_w = hp.C1 * sum(float(np.sum(W * W)) for W in model.W)
+    reg_w = hp.C1 * sum(float(np.sum(W * W)) for W in model.W) / len(zs)
     assert abs(full - (per_example + reg_w)) < 1e-12
 
 
