@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import modelio
-from .core import Hyperparams, standardize_views, validate_dataset
+from .core import HYPERPARAM_KINDS, Hyperparams, standardize_views, validate_dataset
 from .errors import DimensionMismatch, IntactError, MissingInput
 from .evaluate import (
     align_to_truth,
@@ -46,93 +46,121 @@ log = logging.getLogger("intact")
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# config schema
 # ---------------------------------------------------------------------------
 
-def _check_keys(cfg: dict, allowed: set, where: str):
-    unknown = set(cfg) - allowed
+_REQUIRED = object()   # the default of a key a section must name
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# kind: (what a value must be, test, conversion). A bool is neither an
+# integer nor a number, the rule `Hyperparams` applies to its fields.
+_KINDS = {
+    "integer": ("an integer", _is_integer, int),
+    "number": ("a number", _is_number, float),
+    "snr": ('a number or "inf"', lambda v: _is_number(v) or v in ("inf", "Infinity"), float),
+    "boolean": ("a JSON boolean", lambda v: isinstance(v, bool), bool),
+    "string": ("a JSON string", lambda v: isinstance(v, str), str),
+    "path": ("a non-empty JSON string", lambda v: isinstance(v, str) and v != "", Path),
+    "object": ("a JSON object", lambda v: isinstance(v, dict), None),
+    "array": ("a JSON array", lambda v: isinstance(v, list), None),
+}
+
+# Hyperparams validates its own values; the sections name its fields.
+_HYPERPARAMS = {name: (None, _REQUIRED if name == "d" else None) for name, _ in HYPERPARAM_KINDS}
+
+# section: {key: (kind, default)}. A kind is a _KINDS name, "<kind>[]" for a
+# JSON array of that kind, a section name for a JSON object read against
+# that section, or None for a value checked where it is used (`views` by
+# _resolve_view_paths, hyperparams by Hyperparams).
+_SCHEMA = {
+    "synth": {"generator": ("string", "s_curve"), "n": ("integer", None),
+              "xyz_path": ("path", None), "seed": ("integer", 0),
+              "noise": ("synth.noise", None)},
+    "synth.noise": {"snr_db": ("snr", _REQUIRED), "window_fraction": ("number", 0.3),
+                    "copies_per_base": ("integer", 3)},
+    "train": {"views": (None, None), "manifest": ("path", None), "mode": ("string", "linear"),
+              "kernel": ("train.kernel", {}), "standardize": ("boolean", True),
+              "hyperparams": ("train.hyperparams", _REQUIRED)},
+    "train.kernel": {"kind": ("string", "rbf"), "gamma": ("number", None)},
+    "train.hyperparams": _HYPERPARAMS,
+    "embed": {"model": ("path", _REQUIRED), "views": (None, None), "manifest": ("path", None)},
+    "eval": {"embedding": ("path", _REQUIRED), "truth": ("path", None), "labels": ("path", None),
+             "k": ("integer", 3), "train_fraction": ("number", 0.5), "seed": ("integer", 0),
+             "model": ("path", None), "views": (None, None), "manifest": ("path", None)},
+    "probe": {"model": ("path", _REQUIRED), "views": (None, None), "manifest": ("path", None),
+              "taus": ("number[]", [1e-3, 1e-2]), "n_probes": ("integer", 100),
+              "seed": ("integer", 0)},
+    "bench": {"rates": ("number[]", [0.0, 0.1, 0.2, 0.3]), "magnitude": ("number", 10.0),
+              "n": ("integer", 150), "view_dims": ("integer[]", [6, 6, 6]),
+              "noise_sigma": ("number", 0.05), "n_seeds": ("integer", 10),
+              "hyperparams": ("bench.hyperparams", {"d": 3, "C1": 1e-3, "C2": 1e-3})},
+    "bench.hyperparams": _HYPERPARAMS,
+}
+
+
+def _read(cfg: dict, section: str) -> dict:
+    """Every key of the section's table, read from cfg: unknown keys,
+    missing required keys and values of the wrong JSON kind are rejected
+    naming the section and the key; absent or null keys take their
+    default."""
+    table = _SCHEMA[section]
+    unknown = set(cfg) - set(table)
     if unknown:
-        raise ValueError(f"{where}: unknown config keys {sorted(unknown)}")
+        raise ValueError(f"{section}: unknown config keys {sorted(unknown)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        value = default if cfg.get(key) is None else cfg[key]
+        if value is _REQUIRED:
+            raise ValueError(f"{section}: missing required key {key!r}")
+        out[key] = value if value is None else _value(value, kind, section, key)
+    return out
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg or cfg[key] is None:
-        raise ValueError(f"{where}: missing required key {key!r}")
-    return cfg[key]
+def _value(value, kind, section: str, key: str):
+    """value read as a key of the given kind (see _SCHEMA)."""
+    if kind is None:
+        return value
+    base = "object" if kind in _SCHEMA else "array" if kind.endswith("[]") else kind
+    what, test, convert = _KINDS[base]
+    if not test(value):
+        raise ValueError(f"{section}: {key} must be {what}, got {value!r}")
+    if base == "object":
+        return _read(value, kind)
+    if base == "array":
+        return [_value(v, kind[:-2], section, f"{key}[{i}]") for i, v in enumerate(value)]
+    return convert(value)
 
 
-def _integer(value, where: str, key: str) -> int:
-    """An integer config value: a JSON integer, not a fraction or a bool
-    (the rule `Hyperparams` applies to its integer fields)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{where}: {key} must be an integer, got {value!r}")
-    return int(value)
+def _seed(cfg: dict, args) -> int:
+    """The --seed override, else the section's seed."""
+    return cfg["seed"] if args.seed is None else args.seed
 
 
-def _real(value, where: str, key: str) -> float:
-    """A real-valued config value: a JSON number, not a bool, a string, an
-    array or an object (the type rule `Hyperparams` applies to its float
-    fields)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{where}: {key} must be a number, got {value!r}")
-    return float(value)
-
-
-_JSON_KINDS = {list: "array", dict: "object"}
-
-
-def _container(cfg: dict, key: str, kind: type, where: str, default=None):
-    """cfg[key] when it is a JSON array (kind list) or object (kind dict),
-    default when the key is absent or null; any other value is rejected
-    naming the key, as `_integer` rejects non-integers."""
-    value = cfg.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, kind):
-        raise ValueError(
-            f"{where}: {key} must be a JSON {_JSON_KINDS[kind]}, got {value!r}"
-        )
-    return value
-
-
-def _seed(cfg: dict, args, where: str) -> int:
-    """The --seed override, else the config's integer seed (default 0)."""
-    if args.seed is not None:
-        return args.seed
-    return _integer(cfg.get("seed", 0), where, "seed")
-
-
-def _hyperparams_from(cfg: dict, where: str, seed_override=None) -> Hyperparams:
-    _check_keys(cfg, {f.name for f in dataclasses.fields(Hyperparams)}, where)
-    _require(cfg, "d", where)
-    kwargs = dict(cfg)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
+def _hyperparams(cfg: dict, seed=None) -> Hyperparams:
+    """A read hyperparams section as Hyperparams, its null keys at the field
+    defaults; seed, when given, overrides the section's."""
+    kwargs = {key: value for key, value in cfg.items() if value is not None}
+    if seed is not None:
+        kwargs["seed"] = seed
     return Hyperparams(**kwargs)
 
 
-def _noise_from(cfg: dict, where: str, seed: int) -> NoiseSpec:
-    _check_keys(cfg, {"snr_db", "window_fraction", "copies_per_base"}, where)
-    snr = _require(cfg, "snr_db", where)
-    snr = math.inf if snr in ("inf", "Infinity") else _real(snr, where, "snr_db")
-    return NoiseSpec(
-        snr_db=snr,
-        window_fraction=_real(cfg.get("window_fraction", 0.3), where, "window_fraction"),
-        copies_per_base=_integer(
-            cfg.get("copies_per_base", 3), where, "copies_per_base"
-        ),
-        seed=seed,
-    )
-
-
-def _resolve_view_paths(cfg: dict, base: Path, where: str) -> list:
+def _resolve_view_paths(cfg: dict, where: str) -> list:
     """Views come either as an explicit path list or via a synth manifest,
     a JSON object; either list must be a non-empty array of file names."""
-    if cfg.get("views") and cfg.get("manifest"):
+    if cfg["views"] and cfg["manifest"]:
         raise ValueError(f"{where}: give either 'views' or 'manifest', not both")
-    holder, root = cfg, base
-    if cfg.get("manifest"):
-        mpath = base / cfg["manifest"]
+    holder, root = cfg, Path()
+    if cfg["manifest"]:
+        mpath = cfg["manifest"]
         if not mpath.is_file():
             raise MissingInput(f"{where}: manifest {mpath} does not exist")
         holder, root, where = modelio.load_json(mpath), mpath.parent, f"{where}: manifest {mpath}"
@@ -176,24 +204,23 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg: dict, args) -> int:
-    _check_keys(cfg, {"generator", "n", "xyz_path", "seed", "noise"}, "synth")
-    generator = cfg.get("generator", "s_curve")
+    generator = cfg["generator"]
     if generator not in ("s_curve", "xyz"):
         raise ValueError(f"synth: unknown generator {generator!r}")
-    seed = _seed(cfg, args, "synth")
+    source = "n" if generator == "s_curve" else "xyz_path"
+    if cfg[source] is None:
+        raise ValueError(f"synth: missing required key {source!r}")
+    seed = _seed(cfg, args)
 
     if generator == "s_curve":
-        n = _integer(_require(cfg, "n", "synth"), "synth", "n")
-        points = gen_s_curve(n, seed=seed)
+        points = gen_s_curve(cfg["n"], seed=seed)
     else:
-        xyz = Path(_require(cfg, "xyz_path", "synth"))
-        _check_paths_exist([xyz], "synth")
-        points = load_xyz_point_cloud(xyz)
+        _check_paths_exist([cfg["xyz_path"]], "synth")
+        points = load_xyz_point_cloud(cfg["xyz_path"])
     base_views = project_to_planes(points)
 
-    noise_cfg = _container(cfg, "noise", dict, "synth")
-    if noise_cfg is not None:
-        spec = _noise_from(noise_cfg, "synth.noise", seed)
+    if cfg["noise"] is not None:
+        spec = NoiseSpec(**cfg["noise"], seed=seed)
         views = make_noisy_views(base_views, spec)
         noise_payload = {
             "snr_db": "inf" if math.isinf(spec.snr_db) else spec.snr_db,
@@ -226,35 +253,20 @@ def cmd_synth(cfg: dict, args) -> int:
 
 
 def cmd_train(cfg: dict, args) -> int:
-    _check_keys(
-        cfg, {"views", "manifest", "mode", "kernel", "standardize", "hyperparams"},
-        "train",
-    )
-    mode = cfg.get("mode", "linear")
+    mode = cfg["mode"]
     if mode not in ("linear", "kernel"):
         raise ValueError(f"train: unknown mode {mode!r}")
-    _require(cfg, "hyperparams", "train")
-    hp = _hyperparams_from(
-        dict(_container(cfg, "hyperparams", dict, "train")),
-        "train.hyperparams", args.seed,
-    )
-    kcfg = _container(cfg, "kernel", dict, "train", {})
-    _check_keys(kcfg, {"kind", "gamma"}, "train.kernel")
-    view_paths = _resolve_view_paths(cfg, Path("."), "train")
+    hp = _hyperparams(cfg["hyperparams"], args.seed)
+    view_paths = _resolve_view_paths(cfg, "train")
     _check_paths_exist(view_paths, "train")
 
     dataset = validate_dataset(_load_views(view_paths))
     record = None
-    if cfg.get("standardize", True):
+    if cfg["standardize"]:
         dataset, record = standardize_views(dataset)
 
     if mode == "kernel":
-        spec = KernelSpec(
-            kind=kcfg.get("kind", "rbf"),
-            gamma=(None if kcfg.get("gamma") is None
-                   else _real(kcfg["gamma"], "train.kernel", "gamma")),
-        )
-        model, emb, hist = kernel_fit(dataset, hp, spec)
+        model, emb, hist = kernel_fit(dataset, hp, KernelSpec(**cfg["kernel"]))
     else:
         model, emb, hist = fit(dataset, hp)
 
@@ -280,12 +292,10 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_embed(cfg: dict, args) -> int:
-    _check_keys(cfg, {"model", "views", "manifest"}, "embed")
-    model_path = Path(_require(cfg, "model", "embed"))
-    view_paths = _resolve_view_paths(cfg, Path("."), "embed")
-    _check_paths_exist([model_path, *view_paths], "embed")
+    view_paths = _resolve_view_paths(cfg, "embed")
+    _check_paths_exist([cfg["model"], *view_paths], "embed")
 
-    model, record = modelio.load_model(model_path)
+    model, record = modelio.load_model(cfg["model"])
     rows = _load_model_views(model, record, view_paths)
     X = embed_examples(rows, model)
     out = _out_dir(args)
@@ -295,30 +305,20 @@ def cmd_embed(cfg: dict, args) -> int:
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    _check_keys(
-        cfg,
-        {"embedding", "truth", "labels", "k", "train_fraction", "seed",
-         "model", "views", "manifest"},
-        "eval",
-    )
-    emb_path = Path(_require(cfg, "embedding", "eval"))
-    _check_paths_exist([emb_path], "eval")
-    truth_path = Path(cfg["truth"]) if cfg.get("truth") else None
-    labels_path = Path(cfg["labels"]) if cfg.get("labels") else None
+    truth_path, labels_path = cfg["truth"], cfg["labels"]
     if truth_path is None and labels_path is None:
         raise MissingInput("eval: need ground-truth latents and/or labels")
-    for p in (truth_path, labels_path):
-        if p is not None:
-            _check_paths_exist([p], "eval")
+    _check_paths_exist(
+        [p for p in (cfg["embedding"], truth_path, labels_path) if p is not None], "eval"
+    )
 
-    X_est = modelio.load_matrix_csv(emb_path)
+    X_est = modelio.load_matrix_csv(cfg["embedding"])
     metrics = {}
 
-    if cfg.get("model") and (cfg.get("views") or cfg.get("manifest")):
-        model_path = Path(cfg["model"])
-        view_paths = _resolve_view_paths(cfg, Path("."), "eval")
-        _check_paths_exist([model_path, *view_paths], "eval")
-        model, record = modelio.load_model(model_path)
+    if cfg["model"] and (cfg["views"] or cfg["manifest"]):
+        view_paths = _resolve_view_paths(cfg, "eval")
+        _check_paths_exist([cfg["model"], *view_paths], "eval")
+        model, record = modelio.load_model(cfg["model"])
         # not for kernel models: their views and cross-kernels would make an
         # eval about 2.3 times as long
         if model.mode == "linear":
@@ -335,12 +335,10 @@ def cmd_eval(cfg: dict, args) -> int:
             raise DimensionMismatch(
                 f"{labels.shape[0]} labels for {X_est.shape[0]} embedded rows"
             )
-        k = _integer(cfg.get("k", 3), "eval", "k")
-        frac = _real(cfg.get("train_fraction", 0.5), "eval", "train_fraction")
+        k, frac = cfg["k"], cfg["train_fraction"]
         if not 0.0 < frac < 1.0:
             raise ValueError(f"eval: train_fraction must lie in (0, 1), got {frac}")
-        seed = _seed(cfg, args, "eval")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(cfg, args))
         perm = rng.permutation(X_est.shape[0])
         n_train = max(1, int(frac * X_est.shape[0]))
         tr, te = perm[:n_train], perm[n_train:]
@@ -357,23 +355,17 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_probe(cfg: dict, args) -> int:
-    _check_keys(
-        cfg, {"model", "views", "manifest", "taus", "n_probes", "seed"}, "probe"
-    )
-    model_path = Path(_require(cfg, "model", "probe"))
-    view_paths = _resolve_view_paths(cfg, Path("."), "probe")
-    _check_paths_exist([model_path, *view_paths], "probe")
-    model, record = modelio.load_model(model_path)
+    view_paths = _resolve_view_paths(cfg, "probe")
+    _check_paths_exist([cfg["model"], *view_paths], "probe")
+    model, record = modelio.load_model(cfg["model"])
     rows = _load_model_views(model, record, view_paths)
 
-    taus = [
-        _real(t, "probe", f"taus[{i}]")
-        for i, t in enumerate(_container(cfg, "taus", list, "probe", [1e-3, 1e-2]))
-    ]
-    n_probes = _integer(cfg.get("n_probes", 100), "probe", "n_probes")
+    taus, n_probes = cfg["taus"], cfg["n_probes"]
+    if not taus:
+        raise ValueError("probe: taus must name at least one perturbation size")
     if n_probes < 1:
         raise ValueError(f"probe: n_probes must be >= 1, got {n_probes}")
-    seed = _seed(cfg, args, "probe")
+    seed = _seed(cfg, args)
     rng = np.random.default_rng(seed)
 
     reports = []
@@ -387,7 +379,7 @@ def cmd_probe(cfg: dict, args) -> int:
         i = int(rng.integers(0, len(rows[0])))
         v = int(rng.integers(0, len(rows)))
         j = int(rng.integers(0, rows[v].shape[1]))
-        tau = taus[p % len(taus)] if taus else 0.0
+        tau = taus[p % len(taus)]
         z = [np.asarray(Z[i], dtype=np.float64) for Z in rows]
         rep = stability_probe(
             z, model, tau=tau, view_index=v, coord_index=j, seed=seed + p
@@ -413,48 +405,29 @@ def cmd_probe(cfg: dict, args) -> int:
 
 
 def cmd_bench(cfg: dict, args) -> int:
-    _check_keys(
-        cfg,
-        {"rates", "magnitude", "n", "view_dims", "noise_sigma", "n_seeds",
-         "hyperparams"},
-        "bench",
-    )
-    rates = [
-        _real(r, "bench", f"rates[{i}]")
-        for i, r in enumerate(_container(cfg, "rates", list, "bench", [0.0, 0.1, 0.2, 0.3]))
-    ]
+    rates, n_seeds = cfg["rates"], cfg["n_seeds"]
     if not rates:
         raise ValueError("bench: rates must name at least one contamination rate")
     for r in rates:
         if not 0.0 <= r < 0.5:
             raise ValueError(f"bench: contamination rate {r} must lie in [0, 0.5)")
-    magnitude = _real(cfg.get("magnitude", 10.0), "bench", "magnitude")
-    n = _integer(cfg.get("n", 150), "bench", "n")
-    view_dims = [
-        _integer(D, "bench", f"view_dims[{i}]")
-        for i, D in enumerate(_container(cfg, "view_dims", list, "bench", [6, 6, 6]))
-    ]
-    noise_sigma = _real(cfg.get("noise_sigma", 0.05), "bench", "noise_sigma")
-    n_seeds = _integer(cfg.get("n_seeds", 10), "bench", "n_seeds")
     if n_seeds < 1:
         raise ValueError(f"bench: n_seeds must be >= 1, got {n_seeds}")
-    base_seed = 0 if args.seed is None else args.seed
-    hp_cfg = dict(
-        _container(cfg, "hyperparams", dict, "bench") or {"d": 3, "C1": 1e-3, "C2": 1e-3}
-    )
+    # run s of each rate fits at the base seed + s: --seed, else the config's
+    base_hp = _hyperparams(cfg["hyperparams"], args.seed)
 
     lines = ["rate,cauchy_error,l2_error,ratio"]
     print(f"{'rate':>5} {'cauchy_error':>13} {'l2_error':>13} {'ratio':>9}")
     for rate in rates:
         ce, le, rr = [], [], []
         for s in range(n_seeds):
-            seed = base_seed + s
-            hp = _hyperparams_from(dict(hp_cfg), "bench.hyperparams", seed)
+            seed = base_hp.seed + s
+            hp = dataclasses.replace(base_hp, seed=seed)
             _, _, Zs = gen_planted_linear(
-                n, view_dims, hp.d, seed=seed, noise_sigma=noise_sigma
+                cfg["n"], cfg["view_dims"], hp.d, seed=seed, noise_sigma=cfg["noise_sigma"]
             )
             rep = robustness_benchmark(
-                validate_dataset(Zs), rate, magnitude, hp, seed=seed
+                validate_dataset(Zs), rate, cfg["magnitude"], hp, seed=seed
             )
             ce.append(rep.cauchy_error)
             le.append(rep.l2_error)
@@ -512,7 +485,7 @@ def main(argv=None) -> int:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](_read(cfg, args.command), args)
     except (IntactError, ValueError, OSError, json.JSONDecodeError) as exc:
         log.debug("command failed", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)

@@ -763,3 +763,67 @@ def test_eval_validates_the_kernel_model_it_loads(tmp_path, rbf_trained, synth_o
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and f"line {i + 1}" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("synth", "xyz_path"), ("train", "manifest"), ("embed", "model"), ("embed", "manifest"),
+    ("eval", "embedding"), ("eval", "truth"), ("eval", "labels"), ("eval", "model"),
+    ("eval", "manifest"), ("probe", "model"), ("probe", "manifest"),
+])
+def test_path_keys_that_are_not_strings_are_rejected(tmp_path, capsys, command, key):
+    emb = tmp_path / "emb.csv"
+    modelio.save_matrix_csv(emb, np.zeros((4, 2)))
+    model, manifest = str(tmp_path / "model.txt"), str(tmp_path / "manifest.json")
+    cfg = {
+        "synth": {"generator": "xyz"},
+        "train": {"hyperparams": {"d": 2}},
+        "embed": {"model": model, "manifest": manifest},
+        "eval": {"embedding": str(emb), "truth": str(emb), "model": model,
+                 "manifest": manifest},
+        "probe": {"model": model, "manifest": manifest},
+    }[command]
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "cfg.json", {**cfg, key: 5})
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {command}: {key} must be a ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["no", 0])
+def test_train_rejects_a_standardize_that_is_not_a_boolean(tmp_path, synth_out, capsys, value):
+    cfg = write_cfg(
+        tmp_path / "train.json",
+        {"manifest": str(synth_out / "manifest.json"), "standardize": value,
+         "hyperparams": {"d": 2}},
+    )
+    assert_rejected(cfg, "train", tmp_path / "t", "standardize", capsys)
+
+
+def test_bench_hyperparams_seed_is_the_base_seed_without_a_seed_flag(tmp_path):
+    base = {"rates": [0.1], "n": 40, "view_dims": [4, 4], "n_seeds": 2}
+    seeded = write_cfg(tmp_path / "seeded.json", {**base, "hyperparams": {"d": 2, "seed": 7}})
+    plain = write_cfg(tmp_path / "plain.json", {**base, "hyperparams": {"d": 2}})
+    assert main(["bench", "--config", seeded, "--out", str(tmp_path / "a")]) == 0
+    assert main(["bench", "--config", plain, "--out", str(tmp_path / "b"), "--seed", "7"]) == 0
+    assert main(["bench", "--config", plain, "--out", str(tmp_path / "c")]) == 0
+    a, b, c = ((tmp_path / d / "bench.csv").read_bytes() for d in "abc")
+    assert a == b and a != c
+
+
+def test_bench_rejects_hyperparams_without_d(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path / "bench.json",
+        {"rates": [0.0], "n": 20, "n_seeds": 1, "hyperparams": {}},
+    )
+    assert_rejected(cfg, "bench", tmp_path / "b", "bench.hyperparams: missing required key 'd'",
+                    capsys)
+
+
+def test_probe_rejects_an_empty_tau_list(tmp_path, trained, synth_out, capsys):
+    cfg = write_cfg(
+        tmp_path / "probe.json",
+        {"model": str(trained / "model.txt"),
+         "manifest": str(synth_out / "manifest.json"), "n_probes": 2, "taus": []},
+    )
+    assert_rejected(cfg, "probe", tmp_path / "probe", "taus", capsys)
