@@ -15,10 +15,14 @@ benchmark's host reference (perfbench/hostspeed.py) and scaled by
 NOMINAL_S over their mean, as the benchmark scales its commands. A row
 records the median of the scaled times, the median raw time, the peak
 RSS, and the fit's outer iterations, stop reason, final objective and
-affine-alignment residual against the sampled S-curve points.
+affine-alignment residual against the sampled S-curve points. A linear
+row also records `embed_s`: `embed_examples` of the training views
+through the fitted model, every latent from zero, timed and scaled the
+same way.
 """
 
 import argparse
+import functools
 import json
 import os
 import resource
@@ -51,32 +55,46 @@ def readme_s_curve(n):
     return points, intact.standardize_views(intact.validate_dataset(views))[0]
 
 
-def measure(kind, n, repeats):
-    """One row, in this process: timings and the fit's result."""
-    points, ds = readme_s_curve(n)
-    reference = hostspeed.Reference()
+def timed(call, repeats, reference):
+    """Median host-normalized and median raw seconds of `call` over
+    `repeats` runs, and its last result."""
     raw, scaled = [], []
     for _ in range(repeats):
+        result = None  # free the last run's model before the next run's peak
         before = reference()
         t = time.perf_counter()
-        if kind == "linear":
-            _, emb, hist = intact.fit(ds, HP)
-        else:
-            _, emb, hist = intact.kernel_fit(ds, HP, intact.KernelSpec(kind))
+        result = call()
         raw.append(time.perf_counter() - t)
         after = reference()
         scaled.append(raw[-1] * hostspeed.NOMINAL_S / (0.5 * (before + after)))
-    return {
+    return statistics.median(scaled), statistics.median(raw), result
+
+
+def measure(kind, n, repeats):
+    """One row, in this process: timings and the fit's result, and for a
+    linear row the time to embed the training views through the model."""
+    points, ds = readme_s_curve(n)
+    reference = hostspeed.Reference()
+    if kind == "linear":
+        run = functools.partial(intact.fit, ds, HP)
+    else:
+        run = functools.partial(intact.kernel_fit, ds, HP, intact.KernelSpec(kind))
+    wall_s, raw_wall_s, (model, emb, hist) = timed(run, repeats, reference)
+    row = {
         "kind": kind,
         "n": n,
-        "wall_s": statistics.median(scaled),
-        "raw_wall_s": statistics.median(raw),
+        "wall_s": wall_s,
+        "raw_wall_s": raw_wall_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "outer_iterations": len(hist.inner_iterations) - 1,
         "stop_reason": hist.stop_reason,
         "final_objective": float(hist.values()[-1]),
         "alignment_residual": float(intact.align_to_truth(emb.X, points).relative_residual),
     }
+    if kind == "linear":
+        run = functools.partial(intact.embed_examples, ds.views, model)
+        row["embed_s"] = timed(run, repeats, reference)[0]
+    return row
 
 
 def run_row(kind, n, repeats):

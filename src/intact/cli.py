@@ -144,13 +144,17 @@ def _seed(cfg: dict, args) -> int:
     return cfg["seed"] if args.seed is None else args.seed
 
 
-def _hyperparams(cfg: dict, seed=None) -> Hyperparams:
+def _hyperparams(cfg: dict, where: str, seed=None) -> Hyperparams:
     """A read hyperparams section as Hyperparams, its null keys at the field
-    defaults; seed, when given, overrides the section's."""
+    defaults; seed, when given, overrides the section's. A rejected value's
+    error names the section, `where`."""
     kwargs = {key: value for key, value in cfg.items() if value is not None}
     if seed is not None:
         kwargs["seed"] = seed
-    return Hyperparams(**kwargs)
+    try:
+        return Hyperparams(**kwargs)
+    except ValueError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _resolve_view_paths(cfg: dict, where: str) -> list:
@@ -256,7 +260,7 @@ def cmd_train(cfg: dict, args) -> int:
     mode = cfg["mode"]
     if mode not in ("linear", "kernel"):
         raise ValueError(f"train: unknown mode {mode!r}")
-    hp = _hyperparams(cfg["hyperparams"], args.seed)
+    hp = _hyperparams(cfg["hyperparams"], "train.hyperparams", args.seed)
     view_paths = _resolve_view_paths(cfg, "train")
     _check_paths_exist(view_paths, "train")
 
@@ -308,6 +312,8 @@ def cmd_eval(cfg: dict, args) -> int:
     truth_path, labels_path = cfg["truth"], cfg["labels"]
     if truth_path is None and labels_path is None:
         raise MissingInput("eval: need ground-truth latents and/or labels")
+    if cfg["model"] and not (cfg["views"] or cfg["manifest"]):
+        raise ValueError("eval: 'model' needs 'views' or 'manifest'")
     _check_paths_exist(
         [p for p in (cfg["embedding"], truth_path, labels_path) if p is not None], "eval"
     )
@@ -315,7 +321,7 @@ def cmd_eval(cfg: dict, args) -> int:
     X_est = modelio.load_matrix_csv(cfg["embedding"])
     metrics = {}
 
-    if cfg["model"] and (cfg["views"] or cfg["manifest"]):
+    if cfg["model"]:
         view_paths = _resolve_view_paths(cfg, "eval")
         _check_paths_exist([cfg["model"], *view_paths], "eval")
         model, record = modelio.load_model(cfg["model"])
@@ -414,7 +420,7 @@ def cmd_bench(cfg: dict, args) -> int:
     if n_seeds < 1:
         raise ValueError(f"bench: n_seeds must be >= 1, got {n_seeds}")
     # run s of each rate fits at the base seed + s: --seed, else the config's
-    base_hp = _hyperparams(cfg["hyperparams"], args.seed)
+    base_hp = _hyperparams(cfg["hyperparams"], "bench.hyperparams", args.seed)
 
     lines = ["rate,cauchy_error,l2_error,ratio"]
     print(f"{'rate':>5} {'cauchy_error':>13} {'l2_error':>13} {'ratio':>9}")

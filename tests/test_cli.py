@@ -827,3 +827,28 @@ def test_probe_rejects_an_empty_tau_list(tmp_path, trained, synth_out, capsys):
          "manifest": str(synth_out / "manifest.json"), "n_probes": 2, "taus": []},
     )
     assert_rejected(cfg, "probe", tmp_path / "probe", "taus", capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_hyperparams_errors_name_their_section(tmp_path, synth_out, capsys, command):
+    given = {
+        "train": {"manifest": str(synth_out / "manifest.json")},
+        "bench": {"rates": [0.0], "n": 20, "n_seeds": 1},
+    }[command]
+    cfg = write_cfg(tmp_path / "cfg.json", {**given, "hyperparams": {"d": 2.0}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {command}.hyperparams: d must be an integer, got 2.0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_rejects_a_model_without_views(tmp_path, trained, capsys):
+    cfg = write_cfg(
+        tmp_path / "eval.json",
+        {"embedding": str(trained / "embedding.csv"),
+         "truth": str(trained / "embedding.csv"),
+         "model": str(tmp_path / "nonexistent" / "model.txt")},
+    )
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err == "error: eval: 'model' needs 'views' or 'manifest'\n"
+    assert not (tmp_path / "m").exists()

@@ -23,6 +23,7 @@ from intact.errors import DivergenceDetected, ShapeMismatch, SingularSystem
 from intact.optimizer import (
     _audit_descent,
     _example_stacks,
+    _solve_rows,
     fit_view_map,
     sweep_latents,
 )
@@ -262,6 +263,51 @@ def test_singular_system_when_unregularized_and_rank_deficient():
         update_x_once([np.array([1.0, 0.0])], model, np.zeros(2))
 
 
+def test_singular_system_in_a_batch():
+    hp = Hyperparams(d=2, c=1.0, C1=0.0, C2=0.0)
+    model = make_model([np.array([[1.0, 0.0], [0.0, 0.0]])], hp)
+    zs = [np.random.default_rng(0).normal(size=(5, 2))]
+    G, P, znorm = _example_stacks(zs, model)
+    with pytest.raises(SingularSystem):
+        sweep_latents(G, P, znorm, np.zeros((5, 2)), hp.c, hp.C2, hp.tol_x, hp.max_inner)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_update_x_once_is_one_sweep_step(seed):
+    model, zs, x, hp = random_instance(seed)
+    x_new = update_x_once(zs, model, x)
+    assert np.array_equal(x_new, sweep_one_row(zs, model, x, hp, max_inner=1)[0])
+
+
+def test_sweep_latents_does_not_depend_on_stack_layout():
+    # the ridge reaches every pivot whatever memory order the stacks have
+    model, _, _, hp = random_instance(0, C2=1.0)
+    zs = [np.random.default_rng(1).normal(size=(6, D)) for D in model.view_dims]
+    G, P, znorm = _example_stacks(zs, model)
+    args = (np.zeros((6, hp.d)), hp.c, hp.C2, hp.tol_x, 1)
+    X = sweep_latents(G, P, znorm, *args)[0]
+    X_f = sweep_latents(*(np.asfortranarray(a) for a in (G, P, znorm)), *args)[0]
+    assert np.allclose(X_f, X, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_solve_rows_matches_dense_solve(d):
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(30, d, d + 2))
+    H = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    b = rng.normal(size=(30, d))
+    x = _solve_rows(H.transpose(1, 2, 0).copy(), b.T.copy()).T
+    assert np.allclose(x, np.linalg.solve(H, b[..., None])[..., 0], rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_solve_rows_rejects_one_bad_system(bad):
+    H = np.tile(np.eye(3)[:, :, None], (1, 1, 6))
+    H[2, 2, 4] = bad
+    with pytest.raises(SingularSystem):
+        _solve_rows(H, np.ones((3, 6)))
+
+
 # ---------------------------------------------------------------------------
 # view-map updates and solves
 # ---------------------------------------------------------------------------
@@ -463,12 +509,17 @@ def test_majorant_uses_its_hyperparams(seed):
     )
 
 
-@pytest.mark.parametrize("mode", ["linear", "rbf"])
-def test_sweep_latents_rows_independent(mode):
+@pytest.mark.parametrize(
+    "mode, d",
+    [("linear", 2), ("rbf", 2), ("linear", 3), ("rbf", 3)],
+    ids=["linear", "rbf", "linear-d3", "rbf-d3"],
+)
+def test_sweep_latents_rows_independent(mode, d):
     # any row range swept alone gives bit for bit the rows of the full sweep
-    _, _, Zs = gen_planted_linear(40, [4, 4, 4], 2, seed=13, noise_sigma=0.2)
+    # (at d <= 3; see sweep_latents)
+    _, _, Zs = gen_planted_linear(40, [4, 4, 4], d, seed=13, noise_sigma=0.2)
     ds = validate_dataset(Zs)
-    hp = Hyperparams(d=2, C1=1e-3, C2=1e-2, seed=13, max_outer=10)
+    hp = Hyperparams(d=d, C1=1e-3, C2=1e-2, seed=13, max_outer=10)
     if mode == "linear":
         model = fit(ds, hp)[0]
     else:
