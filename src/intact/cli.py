@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import math
 import numbers
@@ -184,6 +183,14 @@ def _load_views(paths):
     return [modelio.load_matrix_csv(p) for p in paths]
 
 
+def _load_model(cfg: dict, where: str):
+    """(model, record, view paths) of a section naming a model and its
+    views, the model file and every view file checked to exist."""
+    view_paths = _resolve_view_paths(cfg, where)
+    _check_paths_exist([cfg["model"], *view_paths], where)
+    return (*modelio.load_model(cfg["model"]), view_paths)
+
+
 def _load_model_views(model, record, paths) -> list:
     """The view files at `paths`, checked against the model's view count
     and widths, then standardized with the model's record if it has one."""
@@ -277,7 +284,8 @@ def cmd_train(cfg: dict, args) -> int:
     out = _out_dir(args)
     modelio.save_model(out / "model.txt", model, record)
     modelio.save_matrix_csv(out / "embedding.csv", emb.X)
-    modelio.save_history_csv(out / "history.csv", hist)
+    modelio.save_table(out / "history.csv", "# step,kind,objective",
+                       [(i, *step) for i, step in enumerate(hist.objective_trace)])
     final = hist.objective_trace[-1][1]
     print(
         f"trained {mode} model: objective {final:.6g}, "
@@ -296,10 +304,7 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_embed(cfg: dict, args) -> int:
-    view_paths = _resolve_view_paths(cfg, "embed")
-    _check_paths_exist([cfg["model"], *view_paths], "embed")
-
-    model, record = modelio.load_model(cfg["model"])
+    model, record, view_paths = _load_model(cfg, "embed")
     rows = _load_model_views(model, record, view_paths)
     X = embed_examples(rows, model)
     out = _out_dir(args)
@@ -314,6 +319,9 @@ def cmd_eval(cfg: dict, args) -> int:
         raise MissingInput("eval: need ground-truth latents and/or labels")
     if cfg["model"] and not (cfg["views"] or cfg["manifest"]):
         raise ValueError("eval: 'model' needs 'views' or 'manifest'")
+    for key in ("views", "manifest"):
+        if cfg[key] is not None and cfg["model"] is None:
+            raise ValueError(f"eval: {key!r} needs 'model'")
     _check_paths_exist(
         [p for p in (cfg["embedding"], truth_path, labels_path) if p is not None], "eval"
     )
@@ -322,9 +330,7 @@ def cmd_eval(cfg: dict, args) -> int:
     metrics = {}
 
     if cfg["model"]:
-        view_paths = _resolve_view_paths(cfg, "eval")
-        _check_paths_exist([cfg["model"], *view_paths], "eval")
-        model, record = modelio.load_model(cfg["model"])
+        model, record, view_paths = _load_model(cfg, "eval")
         # not for kernel models: their views and cross-kernels would make an
         # eval about 2.3 times as long
         if model.mode == "linear":
@@ -361,9 +367,7 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_probe(cfg: dict, args) -> int:
-    view_paths = _resolve_view_paths(cfg, "probe")
-    _check_paths_exist([cfg["model"], *view_paths], "probe")
-    model, record = modelio.load_model(cfg["model"])
+    model, record, view_paths = _load_model(cfg, "probe")
     rows = _load_model_views(model, record, view_paths)
 
     taus, n_probes = cfg["taus"], cfg["n_probes"]
@@ -374,11 +378,7 @@ def cmd_probe(cfg: dict, args) -> int:
     seed = _seed(cfg, args)
     rng = np.random.default_rng(seed)
 
-    reports = []
-    lines = [
-        "example,view,coord,tau,measured_deviation,beta_bound,holds,local_convex,"
-        "measured_over_bound"
-    ]
+    reports, table = [], []
     print(f"{'example':>7} {'view':>4} {'coord':>5} {'tau':>10} "
           f"{'measured':>13} {'bound':>13} holds convex")
     for p in range(n_probes):
@@ -391,22 +391,18 @@ def cmd_probe(cfg: dict, args) -> int:
             z, model, tau=tau, view_index=v, coord_index=j, seed=seed + p
         )
         reports.append(rep)
-        lines.append(
-            f"{i},{v},{j},{modelio.fmt_float(rep.tau)},"
-            f"{modelio.fmt_float(rep.measured_deviation)},"
-            f"{modelio.fmt_float(rep.beta_bound)},"
-            f"{int(rep.holds)},{int(rep.local_convex)},"
-            f"{modelio.fmt_float(rep.bound_ratio)}"
-        )
+        table.append((i, v, j, rep.tau, rep.measured_deviation, rep.beta_bound,
+                      int(rep.holds), int(rep.local_convex), rep.bound_ratio))
         print(f"{i:>7} {v:>4} {j:>5} {rep.tau:>10.3g} "
               f"{rep.measured_deviation:>13.6g} {rep.beta_bound:>13.6g} "
               f"{str(rep.holds):>5} {rep.local_convex}")
     violations = sum(1 for r in reports if not r.holds)
     print(f"violations = {violations} / {len(reports)}, largest measured/bound = "
           f"{max(r.bound_ratio for r in reports):.6g}")
-    out = _out_dir(args)
-    with open(out / "probes.csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    modelio.save_table(
+        _out_dir(args) / "probes.csv",
+        "example,view,coord,tau,measured_deviation,beta_bound,holds,local_convex,"
+        "measured_over_bound", table)
     return 0
 
 
@@ -422,7 +418,7 @@ def cmd_bench(cfg: dict, args) -> int:
     # run s of each rate fits at the base seed + s: --seed, else the config's
     base_hp = _hyperparams(cfg["hyperparams"], "bench.hyperparams", args.seed)
 
-    lines = ["rate,cauchy_error,l2_error,ratio"]
+    table = []
     print(f"{'rate':>5} {'cauchy_error':>13} {'l2_error':>13} {'ratio':>9}")
     for rate in rates:
         ce, le, rr = [], [], []
@@ -439,14 +435,9 @@ def cmd_bench(cfg: dict, args) -> int:
             le.append(rep.l2_error)
             rr.append(rep.ratio)
         c_med, l_med, r_med = (float(np.median(v)) for v in (ce, le, rr))
-        lines.append(
-            f"{modelio.fmt_float(rate)},{modelio.fmt_float(c_med)},"
-            f"{modelio.fmt_float(l_med)},{modelio.fmt_float(r_med)}"
-        )
+        table.append((rate, c_med, l_med, r_med))
         print(f"{rate:>5.2f} {c_med:>13.6g} {l_med:>13.6g} {r_med:>9.4f}")
-    out = _out_dir(args)
-    with open(out / "bench.csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    modelio.save_table(_out_dir(args) / "bench.csv", "rate,cauchy_error,l2_error,ratio", table)
     return 0
 
 
@@ -487,12 +478,11 @@ def main(argv=None) -> int:
         print(f"error: config file {cfg_path} does not exist", file=sys.stderr)
         return 1
     try:
-        with open(cfg_path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = modelio.load_json(cfg_path)
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
         return _COMMANDS[args.command](_read(cfg, args.command), args)
-    except (IntactError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (IntactError, ValueError, OSError) as exc:
         log.debug("command failed", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -103,6 +103,8 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf" and self.gamma is not None and not 0 < self.gamma < np.inf:
             raise ValueError(f"rbf gamma must be a positive finite number, got {self.gamma}")
+        if self.kind == "linear" and self.gamma is not None:
+            raise ValueError(f"a linear kernel takes no gamma, got {self.gamma}")
 
 
 def median_heuristic_gamma(Z) -> float:

@@ -1,12 +1,15 @@
-"""Plain-text persistence: model files, matrix CSVs, labels, and JSON.
+"""Plain-text persistence, the one module that reads or writes a file
+format: matrices, record tables, model files and JSON.
 
-Matrices are stored row-major as decimal text with 17 significant digits,
-which round-trips doubles exactly, so save -> load -> save is
-byte-identical. Nothing here writes timestamps; all outputs are
-deterministic functions of their inputs.
+Numbers are stored as decimal text with 17 significant digits, which
+round-trips doubles exactly, so save -> load -> save is byte-identical.
+Nothing here writes timestamps; all outputs are deterministic functions
+of their inputs.
 
-Every number table has one writer and one reader. `_format_rows` writes
-CSV rows (comma-separated) and model-file blocks (space-separated);
+Each format has one writer: `save_matrix_csv` for matrices,
+`save_table` for record tables (`history.csv`, `probes.csv`,
+`bench.csv`), `save_model` and `save_json`. `_format_rows` writes matrix
+rows (comma-separated) and model-file blocks (space-separated);
 `_parse_rows` reads CSV files, model-file blocks and XYZ point clouds
 (`synth.load_xyz_point_cloud`), with NumPy first and a line loop that
 names the first bad line as fallback. A CSV file in the writer's own
@@ -176,11 +179,14 @@ def _parse_csv_lines(path, lines, first_line, width, comment) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def save_history_csv(path, history):
+def save_table(path, header: str, rows):
+    """A record table: the header line as given, then one line per row of
+    comma-joined cells, floats written by fmt_float and others by str."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# step,kind,objective\n")
-        for i, (kind, val) in enumerate(history.objective_trace):
-            fh.write(f"{i},{kind},{fmt_float(val)}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(fmt_float(c) if isinstance(c, float) else str(c) for c in row))
+            fh.write("\n")
 
 
 def load_labels(path) -> list:
@@ -369,6 +375,8 @@ def load_model(path):
             if len(parts) != 2 or cur.numbers(parts[:1], int) != [v]:
                 cur.fail(f"expected 'gamma {v} value'")
             g = None if parts[1] == "none" else cur.numbers(parts[1:])[0]
+            if kind == "linear" and g is not None:
+                cur.fail(f"a linear kernel takes no gamma, got {parts[1]!r}")
             if kind == "rbf" and not (g is not None and 0.0 < g < np.inf):
                 cur.fail(f"rbf gamma must be a positive finite number, got {parts[1]!r}")
             gammas.append(g)

@@ -683,33 +683,18 @@ def _ridge_maps(X, views, C1: float) -> list:
     return [_spd_solve(H, X.T @ np.asarray(Z)).T for Z in views]
 
 
-def fit(dataset: MultiViewDataset, hp: Hyperparams, init=None):
-    """Fit the linear model: initialization and shape checks around one
-    call of `alternate` with explicit-map stacks and `fit_view_map`.
+def fit(dataset: MultiViewDataset, hp: Hyperparams):
+    """Fit the linear model: `default_init`, then one call of `alternate`
+    with explicit-map stacks and `fit_view_map`.
 
     Returns (IntactModel, IntactEmbedding, FitHistory). A final latent
     sweep runs after the outer loop so the stored embedding is the exact
     per-example minimizer for the returned maps, which makes
     out-of-sample embedding of a training example reproduce its stored
-    coordinate. The result depends only on (dataset, hp, init).
+    coordinate. The result depends only on (dataset, hp).
     """
     views = dataset.views
-    n, d = dataset.n, hp.d
-    if init is not None:
-        model0, X0 = init
-        W = [np.array(Wv, dtype=np.float64) for Wv in model0.W]
-        X = np.array(as_matrix(X0), dtype=np.float64)
-    else:
-        X, W = default_init(views, hp)
-    for v, Wv in enumerate(W):
-        if Wv.shape != (dataset.view_dims[v], d):
-            raise ShapeMismatch(
-                f"W[{v}] shape {Wv.shape} does not match view dims "
-                f"({dataset.view_dims[v]}, {d})"
-            )
-    if X.shape != (n, d):
-        raise ShapeMismatch(f"initial embedding shape {X.shape}, expected ({n}, {d})")
-
+    X, W = default_init(views, hp)
     znorm = np.stack([np.einsum("ij,ij->i", Z, Z) for Z in views])
     W, X, history = alternate(
         W, X,

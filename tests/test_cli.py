@@ -301,6 +301,48 @@ def test_bench_table(tmp_path):
     assert len(rows) == 5
 
 
+# file: (header line, integer columns, text columns); every other column is
+# a float written with 17 significant digits
+_TABLES = {
+    "history.csv": ("# step,kind,objective", {"step"}, {"kind"}),
+    "probes.csv": ("example,view,coord,tau,measured_deviation,beta_bound,holds,"
+                   "local_convex,measured_over_bound",
+                   {"example", "view", "coord", "holds", "local_convex"}, set()),
+    "bench.csv": ("rate,cauchy_error,l2_error,ratio", set(), set()),
+}
+
+
+def test_cli_tables_keep_their_format(tmp_path, trained, synth_out):
+    probe = write_cfg(
+        tmp_path / "probe.json",
+        {"model": str(trained / "model.txt"), "manifest": str(synth_out / "manifest.json"),
+         "taus": [0.0, 0.1], "n_probes": 4},
+    )
+    bench = write_cfg(
+        tmp_path / "bench.json",
+        {"rates": [0.0, 0.2], "n": 30, "view_dims": [4, 4], "n_seeds": 1,
+         "hyperparams": {"d": 2, "max_outer": 10}},
+    )
+    assert main(["probe", "--config", probe, "--out", str(trained)]) == 0
+    assert main(["bench", "--config", bench, "--out", str(trained)]) == 0
+    for name, (header, integers, texts) in _TABLES.items():
+        text = (trained / name).read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        first, *rows = text[:-1].split("\n")
+        assert first == header and rows
+        columns = header.lstrip("# ").split(",")
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == len(columns)
+            for column, field in zip(columns, fields):
+                if column in integers:
+                    assert field == str(int(field))
+                elif column in texts:
+                    assert field in ("x-update", "W-update")
+                else:
+                    assert field == format(float(field), ".17g")
+
+
 def test_bench_rejects_high_rate(tmp_path):
     cfg = write_cfg(
         tmp_path / "bench.json", {"rates": [0.6], "hyperparams": {"d": 2}}
@@ -368,6 +410,15 @@ def test_train_rejects_nan_gamma(tmp_path, synth_out, capsys):
     )
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "gamma" in capsys.readouterr().err
+
+
+def test_train_rejects_a_linear_kernel_gamma(tmp_path, synth_out, capsys):
+    cfg = write_cfg(
+        tmp_path / "train.json",
+        {"manifest": str(synth_out / "manifest.json"), "mode": "kernel",
+         "kernel": {"kind": "linear", "gamma": 0.5}, "hyperparams": {"d": 2}},
+    )
+    assert_rejected(cfg, "train", tmp_path / "t", "gamma", capsys)
 
 
 @pytest.mark.parametrize("command", ["embed", "eval", "probe"])
@@ -851,4 +902,17 @@ def test_eval_rejects_a_model_without_views(tmp_path, trained, capsys):
     )
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "m")]) == 1
     assert capsys.readouterr().err == "error: eval: 'model' needs 'views' or 'manifest'\n"
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("key, value", [("views", ["nonexistent.csv"]),
+                                        ("manifest", "nonexistent/manifest.json")])
+def test_eval_rejects_views_without_a_model(tmp_path, trained, capsys, key, value):
+    cfg = write_cfg(
+        tmp_path / "eval.json",
+        {"embedding": str(trained / "embedding.csv"),
+         "truth": str(trained / "embedding.csv"), key: value},
+    )
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err == f"error: eval: '{key}' needs 'model'\n"
     assert not (tmp_path / "m").exists()

@@ -147,6 +147,11 @@ def test_kernel_spec_rejects_bad_rbf_gamma(gamma):
         KernelSpec("rbf", gamma)
 
 
+def test_kernel_spec_rejects_a_linear_gamma():
+    with pytest.raises(ValueError, match="gamma"):
+        KernelSpec("linear", 0.5)
+
+
 @pytest.mark.parametrize(
     "name, value",
     [("max_outer", 3.0), ("seed", 1.0), ("d", 2.5), ("max_inner", True),

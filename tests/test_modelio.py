@@ -148,6 +148,16 @@ def test_inconsistent_kernel_header_raises_parse_error_with_line(tmp_path, mutat
     assert err.value.line_number == index + 1
 
 
+def test_linear_kernel_gamma_raises_parse_error_at_its_line(tmp_path):
+    lines = _kernel_lines(tmp_path, "linear")
+    index = _set_line("gamma 1 ", "gamma 1 0.5")(lines)
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="gamma") as err:
+        modelio.load_model(path)
+    assert err.value.line_number == index + 1
+
+
 def test_overflowing_training_view_raises_parse_error(tmp_path):
     lines = _kernel_lines(tmp_path, "rbf")
     start = next(k for k, line in enumerate(lines) if line.startswith("Z 1 "))

@@ -432,16 +432,6 @@ def test_fit_planted_exact():
     assert hist.monotone_within(1e-9)
 
 
-def test_fit_autoencode_identity_init():
-    rng = np.random.default_rng(8)
-    Z = rng.normal(size=(25, 3))
-    ds = validate_dataset([Z])
-    hp = Hyperparams(d=3, C1=1e-3, C2=1e-3, seed=8, max_outer=30)
-    init_model = make_model([np.eye(3)], hp)
-    model, emb, hist = fit(ds, hp, init=(init_model, Z.copy()))
-    assert hist.monotone_within(1e-9)
-
-
 def test_fit_stationary_embeddings():
     _, _, Zs = gen_planted_linear(20, [4, 4], 2, seed=5, noise_sigma=0.1)
     ds = validate_dataset(Zs)

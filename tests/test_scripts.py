@@ -1,8 +1,11 @@
 """Smoke tests of the scripts the README documents."""
 
 import importlib.util
+import json
 import math
+import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +46,19 @@ def test_readme_library_example_runs():
     lines = proc.stdout.splitlines()
     assert len(lines) == 2
     assert lines[-1].endswith("True")
+
+
+def test_readme_round_trip_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    script = re.search(r"A full synthetic round trip:\n\n```bash\n(.*?)```", readme, re.S).group(1)
+    intact = f'intact() {{ {shlex.quote(sys.executable)} -m intact "$@"; }}\n'
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(["bash", "-ec", intact + script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert "alignment_residual" in metrics
 
 
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
