@@ -43,6 +43,7 @@ from .kernel import (
     kernel_fit,
     median_heuristic_gamma,
 )
+from .modelio import load_xyz_point_cloud
 from .optimizer import (
     alternation_objective,
     fit,
@@ -58,7 +59,6 @@ from .synth import (
     add_window_noise,
     gen_planted_linear,
     gen_s_curve,
-    load_xyz_point_cloud,
     make_noisy_views,
     project_to_planes,
 )

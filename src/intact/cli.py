@@ -36,7 +36,6 @@ from .synth import (
     NoiseSpec,
     gen_planted_linear,
     gen_s_curve,
-    load_xyz_point_cloud,
     make_noisy_views,
     project_to_planes,
 )
@@ -86,7 +85,7 @@ _SCHEMA = {
     "synth.noise": {"snr_db": ("snr", _REQUIRED), "window_fraction": ("number", 0.3),
                     "copies_per_base": ("integer", 3)},
     "train": {"views": (None, None), "manifest": ("path", None), "mode": ("string", "linear"),
-              "kernel": ("train.kernel", {}), "standardize": ("boolean", True),
+              "kernel": ("train.kernel", None), "standardize": ("boolean", True),
               "hyperparams": ("train.hyperparams", _REQUIRED)},
     "train.kernel": {"kind": ("string", "rbf"), "gamma": ("number", None)},
     "train.hyperparams": _HYPERPARAMS,
@@ -227,7 +226,7 @@ def cmd_synth(cfg: dict, args) -> int:
         points = gen_s_curve(cfg["n"], seed=seed)
     else:
         _check_paths_exist([cfg["xyz_path"]], "synth")
-        points = load_xyz_point_cloud(cfg["xyz_path"])
+        points = modelio.load_xyz_point_cloud(cfg["xyz_path"])
     base_views = project_to_planes(points)
 
     if cfg["noise"] is not None:
@@ -267,6 +266,8 @@ def cmd_train(cfg: dict, args) -> int:
     mode = cfg["mode"]
     if mode not in ("linear", "kernel"):
         raise ValueError(f"train: unknown mode {mode!r}")
+    if mode == "linear" and cfg["kernel"] is not None:
+        raise ValueError("train: 'kernel' needs \"mode\": \"kernel\"")
     hp = _hyperparams(cfg["hyperparams"], "train.hyperparams", args.seed)
     view_paths = _resolve_view_paths(cfg, "train")
     _check_paths_exist(view_paths, "train")
@@ -277,7 +278,8 @@ def cmd_train(cfg: dict, args) -> int:
         dataset, record = standardize_views(dataset)
 
     if mode == "kernel":
-        model, emb, hist = kernel_fit(dataset, hp, KernelSpec(**cfg["kernel"]))
+        kernel = KernelSpec(**(cfg["kernel"] or _read({}, "train.kernel")))
+        model, emb, hist = kernel_fit(dataset, hp, kernel)
     else:
         model, emb, hist = fit(dataset, hp)
 
@@ -331,11 +333,14 @@ def cmd_eval(cfg: dict, args) -> int:
 
     if cfg["model"]:
         model, record, view_paths = _load_model(cfg, "eval")
-        # not for kernel models: their views and cross-kernels would make an
-        # eval about 2.3 times as long
+        # not for kernel models: their views, Grams and cross-kernels would
+        # make an eval about 2.7 times as long
         if model.mode == "linear":
             views = _load_model_views(model, record, view_paths)
             metrics["reconstruction_error"] = reconstruction_error(views, model, X_est)
+        else:
+            print("note: reconstruction_error is computed for linear models only; "
+                  "skipped for this kernel model", file=sys.stderr)
 
     if truth_path is not None:
         X_true = modelio.load_matrix_csv(truth_path)

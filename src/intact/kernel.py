@@ -16,9 +16,10 @@ features are kept in one zero-padded (m x n x max r_v) stack, which the
 map sweep reads as is. Both sweeps take diag(K_v) as the row norms, so
 the residuals they read from the stacks are exact in feature space. The
 model stores A_v = U_r Lambda_r^{-1/2} W_v; with a linear kernel the
-iterates coincide with the linear model's up to round-off. A fitted
-model builds its stack G_v = A_v^T K_v A_v once, on first use
-(`KernelModel.G`), and everything that reads the model's maps reads it.
+iterates coincide with the linear model's up to round-off. A model holds
+what its file holds (atoms, training views, kernel kind, gammas); its
+Grams are derived, and its stack G_v = A_v^T K_v A_v is built once, on
+first use (`KernelModel.G`), from Grams dropped view by view.
 
 An rbf fit starts in feature space: the latents are U_d Lambda_d^{1/2}
 from the top-d eigenpairs of sum_v K_v (`_feature_start`), the kernel-PCA
@@ -32,10 +33,11 @@ steps.
 
 Every Gram is PSD-checked (`ensure_psd`): eigenvalues below
 PSD_REJECT raise, and those between it and PSD_JITTER_TRIGGER get a tiny
-diagonal shift. The check that `gram` and `load_model` make first tries
-a Cholesky factorization of K + |PSD_JITTER_TRIGGER| I, which succeeds
-only when no eigenvalue lies below the trigger and costs a fraction of
-`eigvalsh`; only a failed factorization computes the eigenvalues.
+diagonal shift. Only `gram` checks a model's Grams, at the first
+`KernelModel.gram` or `.G` access; it first tries a Cholesky
+factorization of K + |PSD_JITTER_TRIGGER| I, which succeeds only when no
+eigenvalue lies below the trigger and costs a fraction of `eigvalsh`;
+only a failed factorization computes the eigenvalues.
 
 An rbf block k(a_i, b_j) = exp(-gamma ||a_i - b_j||^2) is evaluated in
 the one n_a x n_b buffer that the product Za Zb^T allocates
@@ -204,24 +206,31 @@ def gram(view_data, kernel: KernelSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelModel:
-    """Atom matrices plus everything needed to evaluate kernels later:
-    retained training views, the kernel spec, resolved per-view gammas,
-    and the cached (read-only) Gram matrices."""
+    """What a kernel model file holds: atom matrices, the retained training
+    views, the kernel kind and the resolved per-view gammas."""
 
     A: tuple
     training_views: tuple
     kernel: KernelSpec
-    gram: tuple
     gammas: tuple
 
     @property
     def n_train(self) -> int:
         return self.training_views[0].shape[0]
 
+    def _gram(self, v: int) -> np.ndarray:
+        return gram(self.training_views[v], KernelSpec(self.kernel.kind, self.gammas[v]))
+
+    @cached_property
+    def gram(self) -> tuple:
+        """Read-only, PSD-checked Gram matrices of the training views."""
+        return tuple(freeze_array(self._gram(v)) for v in range(len(self.A)))
+
     @cached_property
     def G(self) -> np.ndarray:
-        """Read-only stack G_v = A_v^T K_v A_v, built on first use."""
-        return freeze_array(_atom_stacks(self.A, self.gram)[0])
+        """Read-only stack G_v = A_v^T K_v A_v, built on first use; each
+        Gram is dropped after its view."""
+        return freeze_array(np.stack([A.T @ (self._gram(v) @ A) for v, A in enumerate(self.A)]))
 
     def stacks(self, view_rows):
         """Sweep stacks of new examples (one row matrix per view): P_v and
@@ -239,16 +248,11 @@ class KernelModel:
         return self.G, P, znorm
 
 
-def _atom_stacks(km_A, grams):
-    """Stacks A_v^T K_v A_v and K_v A_v of atom maps over their Grams."""
-    KA = np.stack([K @ A for A, K in zip(km_A, grams)])
-    return np.stack([A.T @ P for A, P in zip(km_A, KA)]), KA
-
-
 def kernel_alternation_objective(km_A, grams, X, hp: Hyperparams) -> float:
     """The alternation objective in atom coordinates, on the stacks
     A_v^T K_v A_v, K_v A_v and diag(K_v)."""
-    G, P = _atom_stacks(km_A, grams)
+    P = np.stack([K @ A for A, K in zip(km_A, grams)])
+    G = np.stack([A.T @ KA for A, KA in zip(km_A, P)])
     s = residual_sq_from_stacks(G, P, np.stack([np.diag(K) for K in grams]), X)
     return _objective(s, G, X, hp)
 
@@ -264,7 +268,7 @@ def _features(views, kernel: KernelSpec):
         K, lam, U = _psd_spectrum(cross_gram(Z, Z, kernel.kind, g), vectors=True)
         keep = lam > FEATURE_RCOND * lam[-1]
         gammas.append(g)
-        grams.append(freeze_array(K))
+        grams.append(K)
         to_atoms.append(U[:, keep])
         roots.append(np.sqrt(lam[keep]))
     Phi = np.zeros((len(views), len(views[0]), max(len(r) for r in roots)))
@@ -319,8 +323,7 @@ def kernel_fit(dataset: MultiViewDataset, hp: Hyperparams, kernel: KernelSpec):
     km = KernelModel(
         A=tuple(freeze_array(B @ Wv) for B, Wv in zip(to_atoms, W)),
         training_views=tuple(views),
-        kernel=kernel,
-        gram=tuple(grams),
+        kernel=KernelSpec(kernel.kind),
         gammas=tuple(gammas),
     )
     model = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)

@@ -1,5 +1,5 @@
 """Plain-text persistence, the one module that reads or writes a file
-format: matrices, record tables, model files and JSON.
+format: matrices, point clouds, record tables, model files and JSON.
 
 Numbers are stored as decimal text with 17 significant digits, which
 round-trips doubles exactly, so save -> load -> save is byte-identical.
@@ -11,7 +11,7 @@ Each format has one writer: `save_matrix_csv` for matrices,
 `bench.csv`), `save_model` and `save_json`. `_format_rows` writes matrix
 rows (comma-separated) and model-file blocks (space-separated);
 `_parse_rows` reads CSV files, model-file blocks and XYZ point clouds
-(`synth.load_xyz_point_cloud`), with NumPy first and a line loop that
+(`load_xyz_point_cloud`), with NumPy first and a line loop that
 names the first bad line as fallback. A CSV file in the writer's own
 format (leading '#' lines, then comma-separated rows) skips both: one
 `np.loadtxt` call reads it from its path at the speed of NumPy's C
@@ -37,8 +37,8 @@ from .core import (
     check_sq_norms,
     freeze_array,
 )
-from .errors import GramNotPSD, ParseError
-from .kernel import KernelModel, KernelSpec, gram
+from .errors import ParseError
+from .kernel import KernelModel, KernelSpec
 
 MODEL_MAGIC = "intact-model-v1"
 
@@ -179,6 +179,20 @@ def _parse_csv_lines(path, lines, first_line, width, comment) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def load_xyz_point_cloud(path) -> np.ndarray:
+    """Read an n x 3 point cloud from whitespace/comma-separated text.
+
+    Lines beginning with '#' (and blank lines) are skipped; any other
+    line that is not three numbers raises ParseError with its 1-based line
+    number. A file with no data rows raises ParseError too.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        points = _parse_rows(path, fh.read().split("\n"), width=3)
+    if not len(points):
+        raise ParseError("file contains no data rows", line_number=None)
+    return points
+
+
 def save_table(path, header: str, rows):
     """A record table: the header line as given, then one line per row of
     comma-joined cells, floats written by fmt_float and others by str."""
@@ -271,13 +285,13 @@ class _Cursor:
             self.next()  # the file ends inside the block: raises ParseError
         return M
 
-    def hyperparams(self, fields: dict) -> Hyperparams:
-        """Hyperparams of the fields read so far; a rejection names the
-        line just read, so fields are checked as each one is read."""
+    def check(self, make, *args, **kwargs):
+        """make(*args, **kwargs), its ValueError turned into a ParseError
+        naming the line just read, so each value is checked as it is read."""
         try:
-            return Hyperparams(**fields)
+            return make(*args, **kwargs)
         except ValueError as exc:
-            self.fail(f"invalid hyperparameter: {exc}")
+            self.fail(str(exc))
 
 
 def save_model(path, model: IntactModel, record: StandardizeRecord = None):
@@ -312,9 +326,10 @@ def save_model(path, model: IntactModel, record: StandardizeRecord = None):
 def load_model(path):
     """Read a model file back into (IntactModel, StandardizeRecord or None).
 
-    Kernel-mode Gram caches are recomputed from the retained training
-    views and stored gammas. A malformed number, a rejected hyperparameter,
-    a standardization mean that is not finite or scale that is not finite
+    The file is only parsed and checked; no kernel is evaluated, since a
+    kernel model derives its Grams on first use. A malformed number, a
+    value `Hyperparams` or `KernelSpec` rejects, an rbf gamma of 'none', a
+    standardization mean that is not finite or scale that is not finite
     and > 0, a block whose index or shape disagrees with the header (m, d,
     n_train, view_dims) and a training view that `core.check_sq_norms`
     rejects all raise ParseError with the line number.
@@ -329,7 +344,7 @@ def load_model(path):
         cur.fail(f"unknown mode {mode!r}")
     m = cur.scalar("m", int)
     fields = {"d": cur.scalar("d", int)}
-    d = cur.hyperparams(fields).d
+    d = cur.check(Hyperparams, **fields).d
     if mode == "kernel":
         n_train = cur.scalar("n_train", int)
         if n_train < 1:
@@ -339,7 +354,7 @@ def load_model(path):
         cur.fail(f"view_dims must list m = {m} positive sizes")
     for name, kind in _HYPERPARAM_LINES:
         fields[name] = cur.scalar(name, kind)
-        hp = cur.hyperparams(fields)
+        hp = cur.check(Hyperparams, **fields)
     standardized = cur.scalar("standardized", int)
     if standardized not in (0, 1):
         cur.fail(f"standardized must be 0 or 1, got {standardized}")
@@ -366,38 +381,24 @@ def load_model(path):
         Ws = [freeze_array(cur.block("W", v, view_dims[v], d)) for v in range(m)]
         model = IntactModel(mode="linear", W=tuple(Ws), kernel_part=None, hyperparams=hp)
     else:
-        kind = cur.scalar("kernel", str)
-        if kind not in ("linear", "rbf"):
-            cur.fail(f"unknown kernel {kind!r}")
+        kernel = cur.check(KernelSpec, cur.scalar("kernel", str))
         gammas = []
         for v in range(m):
             parts = cur.expect("gamma")
             if len(parts) != 2 or cur.numbers(parts[:1], int) != [v]:
                 cur.fail(f"expected 'gamma {v} value'")
             g = None if parts[1] == "none" else cur.numbers(parts[1:])[0]
-            if kind == "linear" and g is not None:
-                cur.fail(f"a linear kernel takes no gamma, got {parts[1]!r}")
-            if kind == "rbf" and not (g is not None and 0.0 < g < np.inf):
-                cur.fail(f"rbf gamma must be a positive finite number, got {parts[1]!r}")
+            cur.check(KernelSpec, kernel.kind, g)
+            if kernel.kind == "rbf" and g is None:
+                cur.fail("an rbf model needs a concrete gamma per view, got 'none'")
             gammas.append(g)
-        As, Zs, grams = [], [], []
+        As, Zs = [], []
         for v in range(m):
             As.append(freeze_array(cur.block("A", v, n_train, d)))
-            Zv = freeze_array(cur.block("Z", v, n_train, view_dims[v]))
-            Zs.append(Zv)
-            try:
-                check_sq_norms(v, Zv)
-                K = gram(Zv, KernelSpec(kind, gammas[v]))
-            except (ValueError, GramNotPSD, np.linalg.LinAlgError) as exc:
-                cur.fail(f"view {v}: cannot rebuild the Gram matrix: {exc}")
-            grams.append(freeze_array(K))
-        km = KernelModel(
-            A=tuple(As),
-            training_views=tuple(Zs),
-            kernel=KernelSpec(kind, None),
-            gram=tuple(grams),
-            gammas=tuple(gammas),
-        )
+            Zs.append(freeze_array(cur.block("Z", v, n_train, view_dims[v])))
+            cur.check(check_sq_norms, v, Zs[v])
+        km = KernelModel(A=tuple(As), training_views=tuple(Zs), kernel=kernel,
+                         gammas=tuple(gammas))
         model = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)
     if cur.next() != "end":
         cur.fail("missing end marker")

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSignal, ParseError
-from .modelio import _parse_rows
+from .errors import DegenerateSignal
 
 TWO_HALF_PI = 3.0 * np.pi / 2.0
 
@@ -109,20 +108,6 @@ def make_noisy_views(base_views, spec: NoiseSpec) -> list:
             )
             out.append(add_window_noise(base, per_copy))
     return out
-
-
-def load_xyz_point_cloud(path) -> np.ndarray:
-    """Read an n x 3 point cloud from whitespace/comma-separated text.
-
-    Lines beginning with '#' (and blank lines) are skipped; any other
-    line that is not three numbers raises ParseError with its 1-based line
-    number. A file with no data rows raises ParseError too.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        points = _parse_rows(path, fh.read().split("\n"), width=3)
-    if not len(points):
-        raise ParseError("file contains no data rows", line_number=None)
-    return points
 
 
 def gen_planted_linear(n, view_dims, d, seed=0, noise_sigma=0.0):

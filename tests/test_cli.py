@@ -916,3 +916,47 @@ def test_eval_rejects_views_without_a_model(tmp_path, trained, capsys, key, valu
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "m")]) == 1
     assert capsys.readouterr().err == f"error: eval: '{key}' needs 'model'\n"
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("patch", [
+    {"kernel": {"kind": "bogus"}},
+    {"mode": "linear", "kernel": {"kind": "rbf", "gamma": 0.5}},
+    {"mode": "linear", "kernel": {}},
+], ids=["bogus-kind", "rbf", "empty"])
+def test_train_rejects_a_kernel_section_in_linear_mode(tmp_path, synth_out, capsys, patch):
+    cfg = write_cfg(
+        tmp_path / "train.json",
+        {"manifest": str(synth_out / "manifest.json"), "hyperparams": {"d": 2}, **patch},
+    )
+    out = tmp_path / "t"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == 'error: train: \'kernel\' needs "mode": "kernel"\n'
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("patch", [{}, {"kernel": None}], ids=["absent", "null"])
+def test_train_kernel_mode_without_a_kernel_section_takes_its_defaults(tmp_path, synth_out,
+                                                                        patch):
+    cfg = write_cfg(
+        tmp_path / "train.json",
+        {"manifest": str(synth_out / "manifest.json"), "mode": "kernel",
+         "hyperparams": {"d": 2, "max_outer": 2}, **patch},
+    )
+    out = tmp_path / "t"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert "kernel rbf" in (out / "model.txt").read_text().splitlines()
+
+
+def test_eval_says_when_it_skips_reconstruction_error(tmp_path, rbf_trained, trained,
+                                                      synth_out, capsys):
+    cfg = _kernel_eval_cfg(tmp_path, rbf_trained / "model.txt", synth_out)
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "k")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("note: reconstruction_error is computed for linear models "
+                            "only; skipped for this kernel model\n")
+    assert captured.out.startswith("alignment_residual = ")
+    assert len(captured.out.splitlines()) == 1
+
+    cfg = _kernel_eval_cfg(tmp_path, trained / "model.txt", synth_out)
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "l")]) == 0
+    assert capsys.readouterr().err == ""

@@ -28,14 +28,10 @@ from intact.optimizer import residual_sq_from_stacks
 def make_kernel_model(Zs, As, kind="linear", gammas=None):
     if gammas is None:
         gammas = [None] * len(Zs)
-    grams = [
-        freeze_array(gram(Z, KernelSpec(kind, g))) for Z, g in zip(Zs, gammas)
-    ]
     return KernelModel(
         A=tuple(freeze_array(A) for A in As),
         training_views=tuple(freeze_array(Z) for Z in Zs),
         kernel=KernelSpec(kind, None),
-        gram=tuple(grams),
         gammas=tuple(gammas),
     )
 

@@ -14,7 +14,6 @@ from intact import (
     fit,
     gen_s_curve,
     grad_x,
-    gram,
     kernel_fit,
     local_convexity_check,
     make_noisy_views,
@@ -51,7 +50,6 @@ def twin_models(seed, dims=(3, 4), n_train=8, d=2):
         A=tuple(freeze_array(A) for A in As),
         training_views=tuple(freeze_array(Z) for Z in Zs),
         kernel=KernelSpec("linear"),
-        gram=tuple(freeze_array(gram(Z, KernelSpec("linear"))) for Z in Zs),
         gammas=(None,) * len(dims),
     )
     kernel = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)
