@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hyperparams, IntactModel, as_matrix, validate_dataset
+from .core import Hyperparams, IntactModel, MultiViewDataset, as_matrix, validate_dataset
 from .errors import EmptyTrainingSet, NonFiniteInput, RankDeficient, ShapeMismatch
 from .optimizer import _model_residual_sq, data_term, fit, l2_fit
 
@@ -88,6 +88,12 @@ def knn_classify(train_X, train_labels, test_X, k: int = 3, test_labels=None):
         raise EmptyTrainingSet("no training rows")
     if labels.shape[0] != train_X.shape[0]:
         raise ShapeMismatch("label count does not match training rows")
+    if test_labels is not None:
+        test_labels = np.atleast_1d(np.asarray(test_labels))
+        if len(test_labels) != test_X.shape[0]:
+            raise ShapeMismatch(
+                f"{len(test_labels)} test labels for {test_X.shape[0]} test rows"
+            )
     if not 1 <= k <= train_X.shape[0]:
         raise ValueError(f"k must be in [1, {train_X.shape[0]}], got {k}")
     if train_X.shape[1] != test_X.shape[1]:
@@ -118,7 +124,6 @@ def knn_classify(train_X, train_labels, test_X, k: int = 3, test_labels=None):
     preds = uniq[winner]
     accuracy = None
     if test_labels is not None:
-        test_labels = np.asarray(test_labels)
         accuracy = float(np.mean(preds == test_labels))
     return preds, accuracy
 

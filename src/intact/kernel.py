@@ -8,12 +8,13 @@ map norms reduce to Gram-matrix algebra:
                                + x_i^T A_v^T K_v A_v x_i
     ||map_v||^2 = trace(A_v^T K_v A_v)
 
-Training is the linear fitter (`optimizer.alternate`, `fit_view_map`) on
-exact features Phi_v = U_r Lambda_r^{1/2} from one eigendecomposition of
-each Gram (eigenvalues above FEATURE_RCOND of the largest; the r = n
-Nystrom map), so K_v = Phi_v Phi_v^T and maps W_v = Phi_v^T A_v. The
-features are kept in one zero-padded (m x n x max r_v) stack, which the
-map sweep reads as is. Both sweeps take diag(K_v) as the row norms, so
+Training is the linear fit path (`optimizer._fit_stack`) on exact
+features Phi_v = U_r Lambda_r^{1/2} from one eigendecomposition of each
+Gram (eigenvalues above FEATURE_RCOND of the largest; the r = n Nystrom
+map), so K_v = Phi_v Phi_v^T and maps W_v = Phi_v^T A_v. This module
+only builds the features (`_features`: one zero-padded (m x n x max r_v)
+stack), their row norms diag(K_v) and the start; the fit path runs the
+alternation on them. Both sweeps take diag(K_v) as the row norms, so
 the residuals they read from the stacks are exact in feature space. The
 model stores A_v = U_r Lambda_r^{-1/2} W_v; with a linear kernel the
 iterates coincide with the linear model's up to round-off. A model holds
@@ -47,9 +48,9 @@ so a block peaks at about its own size (1.09x its bytes for a 1000 x 100
 block under tracemalloc) and costs one allocation, not one per step. Every
 step stays finite because `core.validate_dataset`, and `load_model` for
 a model's training views, reject a view whose squared row norms sum
-above `core.SQ_NORM_LIMIT`, an eighth of the largest double: no norm, cross term or squared distance between accepted
-rows can then overflow, and a far pair's exp underflows to exactly 0
-without a warning.
+above `core.SQ_NORM_LIMIT`, an eighth of the largest double: no norm,
+cross term or squared distance between accepted rows can then overflow,
+and a far pair's exp underflows to exactly 0 without a warning.
 """
 
 from __future__ import annotations
@@ -71,12 +72,10 @@ from .errors import GramNotPSD, NonFiniteInput, ShapeMismatch
 from .inference import embed_examples
 from .optimizer import (
     _as_rows,
-    _map_sweep,
+    _fit_stack,
     _objective,
     _principal_latents,
     _ridge_maps,
-    _view_stacks,
-    alternate,
     default_init,
     residual_sq_from_stacks,
 )
@@ -295,31 +294,23 @@ def _feature_start(grams, hp: Hyperparams) -> np.ndarray:
 
 
 def kernel_fit(dataset: MultiViewDataset, hp: Hyperparams, kernel: KernelSpec):
-    """Fit the kernel model on exact kernel features (module docstring).
-    An rbf fit starts from the latents of `_feature_start`, the principal
-    subspace of sum_v K_v; a linear-kernel fit from those of
-    `default_init` on the inputs, as `optimizer.fit` does, so the two
-    take the same steps. The maps start as ridge fits against the
-    latents. Returns (IntactModel in kernel mode, IntactEmbedding,
-    FitHistory).
+    """Fit the kernel model: `optimizer._fit_stack` on the exact kernel
+    features of `_features` and diag K_v (module docstring). An rbf fit
+    starts from the latents of `_feature_start`, the principal subspace
+    of sum_v K_v; a linear-kernel fit from those of `default_init` on the
+    inputs, as `optimizer.fit` does, so the two take the same steps. The
+    maps start as ridge fits against the latents. Returns (IntactModel in
+    kernel mode, IntactEmbedding, FitHistory).
     """
     views = dataset.views
     gammas, grams, Phi, to_atoms = _features(views, kernel)
-    feats = [F[:, : B.shape[1]] for F, B in zip(Phi, to_atoms)]
-    znorm = np.stack([np.diag(K) for K in grams])
-
     if kernel.kind == "linear":
         X = default_init(views, hp)[0]
     else:
         X = _feature_start(grams, hp)
-    W = _ridge_maps(X, feats, hp.C1)
-
-    W, X, history = alternate(
-        W, X,
-        lambda W: _view_stacks(feats, W)[:2] + (znorm,),
-        _map_sweep(Phi, znorm, hp),
-        hp,
-    )
+    W = _ridge_maps(X, [F[:, : B.shape[1]] for F, B in zip(Phi, to_atoms)], hp.C1)
+    znorm = np.stack([np.diag(K) for K in grams])
+    W, X, history = _fit_stack(Phi, znorm, X, W, hp)
     km = KernelModel(
         A=tuple(freeze_array(B @ Wv) for B, Wv in zip(to_atoms, W)),
         training_views=tuple(views),

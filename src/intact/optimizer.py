@@ -37,10 +37,13 @@ P_v = Z_v W_v and the squared row norms of Z_v, and so does all other
 code, through `_example_stacks` (a kernel model builds its G once).
 Residuals, weights, every objective, reconstruction errors, map norms and
 the map penalty ||W_v||_F^2 = trace(G_v) follow from them, in both modes.
-Kernel mode (kernel.py) runs the driver and the one map solver,
-`fit_view_map`, on exact kernel features, with diag K_v as row norms.
-There is one solver per block: embedding an example is `sweep_latents`
-on one row. The per-example diagnostics (`objective_x`, `grad_x`,
+Both modes reach the driver through one routine, `_fit_stack`: `fit`
+hands it the views zero-padded to the widest with their squared row
+norms, and `kernel_fit` (kernel.py) exact kernel features with diag K_v.
+It pads the start maps once, reads the stacks as two batched products
+(`_map_products`, shared with the map solver `fit_view_map`) and sweeps
+the maps with one `fit_view_map` call. There is one solver per block:
+embedding an example is `sweep_latents` on one row. The per-example diagnostics (`objective_x`, `grad_x`,
 `update_x_once`, `majorant_*`) are the batched latent step at n = 1,
 valued by `_example_objectives`.
 
@@ -404,6 +407,14 @@ def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner):
     return X, iters, s_final
 
 
+def _map_products(Z, W):
+    """G_v = W_v^T W_v and P_v = Z_v W_v for a stack of padded maps W
+    (m x D x d, or a list of m equal-shape maps) and the padded stack Z
+    (m x n x D), each as one batched product."""
+    W = np.asarray(W)
+    return W.transpose(0, 2, 1) @ W, Z @ W
+
+
 def fit_view_map(Z, znorm, X, W0, c, C1, tol_x, max_inner):
     """Solve every view's map subproblem in one stacked IRR sweep, the
     map-side twin of `sweep_latents`.
@@ -427,7 +438,7 @@ def fit_view_map(Z, znorm, X, W0, c, C1, tol_x, max_inner):
     idx = np.arange(m)
     Za, za, Wa = Z, znorm, W
     for k in range(max_inner):
-        s = residual_sq_from_stacks(Wa.transpose(0, 2, 1) @ Wa, Za @ Wa, za, X)
+        s = residual_sq_from_stacks(*_map_products(Za, Wa), za, X)
         QX = weight_sq(s, c)[:, :, None] * X
         W_new = _spd_solve(X.T @ QX + ridge, QX.transpose(0, 2, 1) @ Za)
         W_new = np.ascontiguousarray(W_new.transpose(0, 2, 1))
@@ -490,27 +501,6 @@ def balance_gauge(maps, X, G, P, hp: Hyperparams):
         return skip
     T, T_inv = roots
     return [M @ T_inv for M in maps], X @ T, T_inv @ G @ T_inv, P @ T_inv
-
-
-def _map_sweep(Z, znorm, hp: Hyperparams):
-    """A map sweep for `alternate`: every view's map solved by one
-    `fit_view_map` call.
-
-    Z is the fit's views zero-padded once into an (m x n x max D_v) stack
-    (`_pad_views`), which costs m n max_v D_v floats; znorm (m x n) holds
-    the squared row norms the residuals read. The sweep pads the maps it
-    is given to the stack's width and returns them unpadded, so the widths
-    come from the maps.
-    """
-
-    def sweep(X, maps):
-        W0 = np.zeros((Z.shape[0], Z.shape[2], X.shape[1]))
-        for v, M in enumerate(maps):
-            W0[v, : len(M)] = M
-        W, iters = fit_view_map(Z, znorm, X, W0, hp.c, hp.C1, hp.tol_x, hp.max_inner)
-        return [W[v, : len(M)] for v, M in enumerate(maps)], int(iters.max())
-
-    return sweep
 
 
 def _pad_views(views) -> np.ndarray:
@@ -683,9 +673,33 @@ def _ridge_maps(X, views, C1: float) -> list:
     return [_spd_solve(H, X.T @ np.asarray(Z)).T for Z in views]
 
 
+def _fit_stack(Z, znorm, X, maps, hp: Hyperparams):
+    """The one fit path of both modes: `alternate` from the latents X and
+    the per-view maps, on the zero-padded (m x n x max D_v) feature stack Z
+    and its fixed squared row norms znorm (m x n).
+
+    The maps are padded once to the stack's width; the driver's stacks are
+    `_map_products` of Z and the padded maps, and its map sweep is one
+    `fit_view_map` call, so padded map rows stay exactly 0 throughout.
+    Returns (maps at their own widths, X, FitHistory).
+    """
+    W = np.zeros((Z.shape[0], Z.shape[2], X.shape[1]))
+    for v, M in enumerate(maps):
+        W[v, : len(M)] = M
+
+    def map_sweep(X, W):
+        W, iters = fit_view_map(Z, znorm, X, W, hp.c, hp.C1, hp.tol_x, hp.max_inner)
+        return W, int(iters.max())
+
+    W, X, history = alternate(
+        W, X, lambda W: _map_products(Z, W) + (znorm,), map_sweep, hp
+    )
+    return [Wv[: len(M)] for Wv, M in zip(W, maps)], X, history
+
+
 def fit(dataset: MultiViewDataset, hp: Hyperparams):
-    """Fit the linear model: `default_init`, then one call of `alternate`
-    with explicit-map stacks and `fit_view_map`.
+    """Fit the linear model: `default_init`, then `_fit_stack` on the views
+    padded to the widest, with their squared row norms.
 
     Returns (IntactModel, IntactEmbedding, FitHistory). A final latent
     sweep runs after the outer loop so the stored embedding is the exact
@@ -696,12 +710,7 @@ def fit(dataset: MultiViewDataset, hp: Hyperparams):
     views = dataset.views
     X, W = default_init(views, hp)
     znorm = np.stack([np.einsum("ij,ij->i", Z, Z) for Z in views])
-    W, X, history = alternate(
-        W, X,
-        lambda W: _view_stacks(views, W),
-        _map_sweep(_pad_views(views), znorm, hp),
-        hp,
-    )
+    W, X, history = _fit_stack(_pad_views(views), znorm, X, W, hp)
     model = IntactModel(
         mode="linear",
         W=tuple(freeze_array(Wv) for Wv in W),

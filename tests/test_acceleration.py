@@ -17,7 +17,6 @@ from intact import (
     KernelSpec,
     fit,
     gen_planted_linear,
-    kernel,
     kernel_fit,
     optimizer,
     validate_dataset,
@@ -51,7 +50,6 @@ def plain(fitter, *args, **kwargs):
     """`fitter` run with the plain driver in place of `optimizer.alternate`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "alternate", alternate_plain)
-        mp.setattr(kernel, "alternate", alternate_plain)
         return fitter(*args, **kwargs)
 
 

@@ -5,7 +5,7 @@ eigendecomposition of `feature_start` in tests/oracles.py."""
 import numpy as np
 import pytest
 
-from intact import Hyperparams, KernelSpec, kernel, kernel_fit, validate_dataset
+from intact import Hyperparams, KernelSpec, kernel_fit, optimizer, validate_dataset
 from oracles import feature_start
 from test_acceleration import outer_iterations
 from test_kernel_reference import README_HP, readme_s_curve
@@ -13,14 +13,14 @@ from test_kernel_reference import README_HP, readme_s_curve
 
 def fit_with_start(ds, hp):
     """kernel_fit's result and the latents it handed to the driver."""
-    starts, alternate = [], kernel.alternate
+    starts, alternate = [], optimizer.alternate
 
     def recording(W, X, *args):
         starts.append(X.copy())
         return alternate(W, X, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "alternate", recording)
+        mp.setattr(optimizer, "alternate", recording)
         result = kernel_fit(ds, hp, KernelSpec("rbf"))
     return result, starts[0]
 

@@ -14,7 +14,7 @@ from intact import (
     standardize_views,
     validate_dataset,
 )
-from intact.errors import NonFiniteInput
+from intact.errors import NonFiniteInput, ShapeMismatch
 from oracles import knn_classify_dense
 
 
@@ -85,3 +85,13 @@ def test_knn_rejects_non_finite_rows():
         knn_classify(train, [0, 1], np.array([[np.nan]]), k=1)
     with pytest.raises(NonFiniteInput):
         knn_classify(np.array([[0.0], [np.inf]]), [0, 1], np.array([[0.5]]), k=1)
+
+
+@pytest.mark.parametrize("n_labels", [1, 2])
+def test_knn_rejects_a_test_label_count_unlike_the_test_rows(n_labels):
+    # one label used to broadcast against all five predictions, two to
+    # raise NumPy's broadcast error
+    train = np.array([[0.0], [1.0]])
+    test = np.linspace(0.0, 1.0, 5)[:, None]
+    with pytest.raises(ShapeMismatch, match=f"{n_labels} test labels for 5 test rows"):
+        knn_classify(train, ["a", "b"], test, k=1, test_labels=["b"] * n_labels)

@@ -210,13 +210,10 @@ def test_single_token_mutation_loads_or_raises_parse_error(which, position, toke
         path = Path(tmp) / "model.txt"
         path.write_text("\n".join(" ".join(parts) for parts in lines) + "\n",
                         encoding="utf-8")
-        with warnings.catch_warnings():
-            # extreme values may overflow while the Gram matrix is rebuilt
-            warnings.simplefilter("ignore", RuntimeWarning)
-            try:
-                modelio.load_model(path)
-            except ParseError:
-                pass
+        try:
+            modelio.load_model(path)
+        except ParseError:
+            pass
 
 
 # ---------------------------------------------------------------------------

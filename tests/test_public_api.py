@@ -2,6 +2,7 @@
 purpose, and removed names stay removed."""
 
 import importlib
+import typing
 
 import pytest
 
@@ -55,8 +56,9 @@ PUBLIC = [
 ]
 
 # (module, name) of each removed definition: the per-example and per-view
-# solver loop, whose solves are the batched sweeps at n = 1 and m = 1, and
-# wrappers nothing in the package called
+# solver loop, whose solves are the batched sweeps at n = 1 and m = 1,
+# wrappers nothing in the package called, and the map-sweep closure the
+# one fit path (`optimizer._fit_stack`) replaced
 REMOVED = [
     ("optimizer", "SubproblemResult"),
     ("optimizer", "_iterate"),
@@ -65,6 +67,7 @@ REMOVED = [
     ("optimizer", "update_w_once"),
     ("optimizer", "objective_w"),
     ("optimizer", "_view_residual_sq"),
+    ("optimizer", "_map_sweep"),
     ("kernel", "kernel_embed"),
     ("kernel", "kernel_residual_sq"),
     ("kernel", "kernel_w_norm_sq"),
@@ -83,6 +86,12 @@ def test_all_is_the_pinned_sorted_list():
 def test_every_public_name_resolves():
     for name in intact.__all__:
         assert getattr(intact, name) is not None
+
+
+@pytest.mark.parametrize("name", [n for n in PUBLIC if callable(getattr(intact, n))])
+def test_type_hints_resolve(name):
+    # every annotation names something its module imports
+    typing.get_type_hints(getattr(intact, name))
 
 
 @pytest.mark.parametrize("module, name", REMOVED)
