@@ -41,12 +41,16 @@ class Hyperparams:
     penalty, C2 the latent penalty.
 
     An outer iteration ends the fit when it changes the objective by at
-    most tol_obj relative to max(1, |objective|). An inner solve stops
-    when its iterate (a latent point or a view map) moves by at most tol_x
-    in Euclidean (Frobenius) norm: an absolute change in the iterate's own
-    units, not scaled by its size. A kernel map is measured in feature
-    space, sqrt(trace(dA^T K dA)) for an atom change dA. max_outer and
-    max_inner cap the two loops. d, max_outer, max_inner and seed must be
+    most tol_obj relative to max(1, |objective|). Inside the outer loop
+    the latent block takes one reweighted step per example; tol_x and
+    max_inner govern the map block, the final latent sweep after the loop
+    and embedding (`embed_examples`, `embed_example` and the probes).
+    Such an inner solve stops when its iterate (a latent point or a view
+    map) moves by at most tol_x in Euclidean (Frobenius) norm: an
+    absolute change in the iterate's own units, not scaled by its size.
+    A kernel map is measured in feature space, sqrt(trace(dA^T K dA)) for
+    an atom change dA. max_outer caps the outer loop, max_inner each
+    inner solve. d, max_outer, max_inner and seed must be
     integers, and c, C1, C2 and the tolerances finite real numbers; a
     bool is neither.
     """

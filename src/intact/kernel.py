@@ -15,9 +15,13 @@ map), so K_v = Phi_v Phi_v^T and maps W_v = Phi_v^T A_v. This module
 only builds the features (`_features`: one zero-padded (m x n x max r_v)
 stack), their row norms diag(K_v) and the start; the fit path runs the
 alternation on them. Both sweeps take diag(K_v) as the row norms, so
-the residuals they read from the stacks are exact in feature space. The
-model stores A_v = U_r Lambda_r^{-1/2} W_v; with a linear kernel the
-iterates coincide with the linear model's up to round-off. A model holds
+the residuals they read from the stacks are exact in feature space.
+Each Gram is dropped once its view is decomposed (an rbf start keeps
+only their running sum, and only until the start is formed), so a fit
+holds no n x n matrix through the alternation. The model stores
+A_v = U_r Lambda_r^{-1/2} W_v, read back from the features as
+Phi_v (Lambda_r^{-1} W_v); with a linear kernel the iterates coincide
+with the linear model's up to round-off. A model holds
 what its file holds (atoms, training views, kernel kind, gammas); its
 Grams are derived, and its stack G_v = A_v^T K_v A_v is built once, on
 first use (`KernelModel.G`), from Grams dropped view by view.
@@ -28,7 +32,7 @@ subspace of the concatenated features and the unshrunk principal subspace
 of the L2 problem there, with maps fitted by ridge against them. Starting
 from `default_init`'s principal directions of the inputs instead costs
 the fit outer iterations spent moving from the linear subspace into the
-kernel one (README S-curve, n = 1000: 78 against 10). A linear-kernel fit
+kernel one (README S-curve, n = 1000: 61 against 10). A linear-kernel fit
 keeps `default_init` on the inputs, so that it takes the linear fit's
 steps.
 
@@ -257,38 +261,43 @@ def kernel_alternation_objective(km_A, grams, X, hp: Hyperparams) -> float:
 
 
 def _features(views, kernel: KernelSpec):
-    """Per-view gammas and PSD-checked Grams, the exact features
-    Phi_v = U_r Lambda_r^{1/2} written into one zero-padded
-    (m x n x max r_v) stack, and the maps to atoms U_r Lambda_r^{-1/2}
-    (n x r_v each, so r_v is their width)."""
-    gammas, grams, to_atoms, roots = [], [], [], []
-    for Z in views:
+    """Per-view gammas, the exact features Phi_v = U_r Lambda_r^{1/2} of
+    each PSD-checked Gram written into one zero-padded (m x n x max r_v)
+    stack, their squared row norms diag(K_v) (m x n), the retained
+    eigenvalues Lambda_r (r_v of them per view, so they give its width)
+    and, for an rbf start, sum_v K_v (None for a linear kernel). No Gram
+    outlives its own view's eigendecomposition."""
+    gammas, features, lams = [], [], []
+    znorm = np.empty((len(views), len(views[0])))
+    K_sum = None
+    for v, Z in enumerate(views):
         g = None if kernel.kind == "linear" else kernel.gamma or median_heuristic_gamma(Z)
         K, lam, U = _psd_spectrum(cross_gram(Z, Z, kernel.kind, g), vectors=True)
         keep = lam > FEATURE_RCOND * lam[-1]
         gammas.append(g)
-        grams.append(K)
-        to_atoms.append(U[:, keep])
-        roots.append(np.sqrt(lam[keep]))
-    Phi = np.zeros((len(views), len(views[0]), max(len(r) for r in roots)))
-    for F, B, root in zip(Phi, to_atoms, roots):
-        np.multiply(B, root, out=F[:, : len(root)])
-        B /= root
-    return gammas, grams, Phi, to_atoms
+        znorm[v] = K.diagonal()
+        if kernel.kind == "rbf":
+            K_sum = K if K_sum is None else np.add(K_sum, K, out=K_sum)
+        del K
+        features.append(U[:, keep])
+        lams.append(lam[keep])
+        del U
+    Phi = np.zeros((len(views), len(views[0]), max(len(lam) for lam in lams)))
+    for F, B, lam in zip(Phi, features, lams):
+        np.multiply(B, np.sqrt(lam), out=F[:, : len(lam)])
+    return gammas, Phi, znorm, lams, K_sum
 
 
-def _feature_start(grams, hp: Hyperparams) -> np.ndarray:
+def _feature_start(K_sum, hp: Hyperparams) -> np.ndarray:
     """Starting latents U_d Lambda_d^{1/2} from the top-d eigenpairs of
-    sum_v K_v: the kernel-PCA subspace of the concatenated features,
-    through `_principal_latents` with each column's sign fixed on U.
+    K_sum = sum_v K_v: the kernel-PCA subspace of the concatenated
+    features, through `_principal_latents` with each column's sign fixed
+    on U.
 
     A full `numpy.linalg.eigh`, not scipy's subset solver: at the sizes a
     kernel fit handles (n <= 1000) the subset call saves less time than
     importing `scipy.linalg` into a fresh process costs."""
-    K = np.array(grams[0])
-    for Kv in grams[1:]:
-        K += Kv
-    lam, U = np.linalg.eigh(K)
+    lam, U = np.linalg.eigh(K_sum)
     lam, U = lam[::-1][: hp.d], U[:, ::-1][:, : hp.d]
     return _principal_latents(U, np.sqrt(np.maximum(lam, 0.0)), U.T, hp)
 
@@ -299,20 +308,23 @@ def kernel_fit(dataset: MultiViewDataset, hp: Hyperparams, kernel: KernelSpec):
     starts from the latents of `_feature_start`, the principal subspace
     of sum_v K_v; a linear-kernel fit from those of `default_init` on the
     inputs, as `optimizer.fit` does, so the two take the same steps. The
-    maps start as ridge fits against the latents. Returns (IntactModel in
-    kernel mode, IntactEmbedding, FitHistory).
+    maps start as ridge fits against the latents. No n x n matrix is held
+    through the alternation: the atoms A_v = U_r Lambda_r^{-1/2} W_v are
+    read back from the features as Phi_v (Lambda_r^{-1} W_v). Returns
+    (IntactModel in kernel mode, IntactEmbedding, FitHistory).
     """
     views = dataset.views
-    gammas, grams, Phi, to_atoms = _features(views, kernel)
+    gammas, Phi, znorm, lams, K_sum = _features(views, kernel)
     if kernel.kind == "linear":
         X = default_init(views, hp)[0]
     else:
-        X = _feature_start(grams, hp)
-    W = _ridge_maps(X, [F[:, : B.shape[1]] for F, B in zip(Phi, to_atoms)], hp.C1)
-    znorm = np.stack([np.diag(K) for K in grams])
+        X = _feature_start(K_sum, hp)
+    del K_sum
+    features = [F[:, : len(lam)] for F, lam in zip(Phi, lams)]
+    W = _ridge_maps(X, features, hp.C1)
     W, X, history = _fit_stack(Phi, znorm, X, W, hp)
     km = KernelModel(
-        A=tuple(freeze_array(B @ Wv) for B, Wv in zip(to_atoms, W)),
+        A=tuple(freeze_array(F @ (Wv / lam[:, None])) for F, Wv, lam in zip(features, W, lams)),
         training_views=tuple(views),
         kernel=KernelSpec(kernel.kind),
         gammas=tuple(gammas),

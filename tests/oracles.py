@@ -52,6 +52,24 @@ def objective_w_bruteforce(Z, X, W, c, C1):
     return total / n + C1 * float(np.sum(np.square(W)))
 
 
+def objective_gradients(views, W_list, X, c, C1, C2):
+    """Closed-form gradients of the joint objective. With residuals
+    r_vi = z_i^v - W_v x_i and weights q_vi = 1/(c^2 + ||r_vi||^2):
+    grad_{W_v} = -(2/(m n)) sum_i q_vi r_vi x_i^T + (2 C1/m) W_v and
+    grad_{x_i} = -(2/(m n)) sum_v q_vi W_v^T r_vi + (2 C2/n) x_i.
+    Returns (one gradient per map, the n x d latent gradient)."""
+    m, n = len(views), len(X)
+    X = np.asarray(X, dtype=float)
+    grad_W, grad_X = [], 2.0 * C2 / n * X
+    for Z, W in zip(views, W_list):
+        W = np.asarray(W, dtype=float)
+        R = np.asarray(Z, dtype=float) - X @ W.T
+        QR = R / (c * c + np.sum(R * R, axis=1))[:, None]
+        grad_W.append(-2.0 / (m * n) * QR.T @ X + 2.0 * C1 / m * W)
+        grad_X = grad_X - 2.0 / (m * n) * QR @ W
+    return grad_W, grad_X
+
+
 def fd_gradient(f, x, h=1e-6):
     """Central finite differences with per-coordinate scaled steps."""
     x = np.asarray(x, dtype=float)
@@ -228,10 +246,11 @@ def kernel_fit_atoms(dataset, hp, kernel):
 
 def alternate_plain(maps, X, stacks, map_sweep, hp):
     """`optimizer.alternate` without the Anderson step: every outer
-    iteration but the first opens with the gauge step, then one latent
-    sweep and one map sweep, until the objective changes by at most
-    tol_obj (relative); a final latent sweep follows. Returns
-    (maps, X, FitHistory), with every half step audited for descent."""
+    iteration but the first opens with the gauge step, then one
+    reweighted latent step per row and one map sweep, until the objective
+    changes by at most tol_obj (relative); a final latent sweep to tol_x
+    follows. Returns (maps, X, FitHistory), with every half step audited
+    for descent."""
     from intact.core import FitHistory
     from intact.optimizer import (
         _audit_descent,
@@ -250,17 +269,15 @@ def alternate_plain(maps, X, stacks, map_sweep, hp):
         _audit_descent(trace[-1][1] if trace else J0, J)
         trace.append((kind, J))
 
-    def latent_sweep(X):
-        X, x_iters, s = sweep_latents(
-            G, P, znorm, X, hp.c, hp.C2, hp.tol_x, hp.max_inner
-        )
+    def latent_sweep(X, max_inner):
+        X, x_iters, s = sweep_latents(G, P, znorm, X, hp.c, hp.C2, hp.tol_x, max_inner)
         record("x-update", _objective(s, G, X, hp))
         return X, int(np.max(x_iters))
 
     for it in range(hp.max_outer):
         if it > 0:
             maps, X, G, P = balance_gauge(maps, X, G, P, hp)
-        X, x_iters = latent_sweep(X)
+        X, x_iters = latent_sweep(X, 1)
         maps, w_iters = map_sweep(X, maps)
         G, P, znorm = stacks(maps)
         J = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp)
@@ -271,7 +288,7 @@ def alternate_plain(maps, X, stacks, map_sweep, hp):
             break
         J_prev = J
 
-    X, x_iters = latent_sweep(X)
+    X, x_iters = latent_sweep(X, hp.max_inner)
     inner.append((x_iters, 0))
     history = FitHistory(
         objective_trace=tuple(trace),

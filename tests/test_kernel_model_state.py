@@ -1,6 +1,7 @@
 """A kernel model holds what its model file holds (atoms, training views,
 kernel kind, gammas); its Grams and G stack are derived on first use, so
-loading a model evaluates no kernel and keeps no n x n matrix."""
+loading a model evaluates no kernel and keeps no n x n matrix. A kernel
+fit, too, drops its Grams before the alternation starts."""
 
 import dataclasses
 import json
@@ -13,7 +14,7 @@ from intact import Hyperparams, embed_examples, kernel, kernel_fit
 from intact import modelio
 from intact.cli import main
 from intact.kernel import KernelModel, KernelSpec
-from test_kernel_reference import readme_s_curve
+from test_kernel_reference import README_HP, readme_s_curve
 
 
 @pytest.fixture()
@@ -94,3 +95,24 @@ def test_a_loaded_kernel_model_keeps_no_gram(tmp_path):
         tracemalloc.stop()
     assert model.kernel_part.n_train == n
     assert held < n * n * 8  # one view's Gram, 0.72 MB
+
+
+def test_a_kernel_fit_holds_no_gram_through_the_alternation(monkeypatch):
+    n = 300
+    ds = readme_s_curve(n, 0)
+    entries, fit_stack = [], kernel._fit_stack
+
+    def measuring(Phi, *args):
+        entries.append((tracemalloc.get_traced_memory()[0], Phi.nbytes))
+        return fit_stack(Phi, *args)
+
+    monkeypatch.setattr(kernel, "_fit_stack", measuring)
+    hp = dataclasses.replace(README_HP, max_outer=1)
+    kernel_fit(readme_s_curve(20, 1), hp, KernelSpec("rbf"))  # first-call imports
+    tracemalloc.start()
+    try:
+        kernel_fit(ds, hp, KernelSpec("rbf"))
+    finally:
+        tracemalloc.stop()
+    held, phi_bytes = entries[-1]
+    assert held < phi_bytes + n * n * 8  # the features and one view's Gram

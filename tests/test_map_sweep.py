@@ -42,9 +42,8 @@ def linear_case(views):
 def rbf_case(views):
     """Padded rbf features, diag K as row norms, the unpadded features and
     the per-row offsets diag K - ||phi_i||^2 their explicit residuals miss."""
-    _, grams, Phi, to_atoms = _features(views, KernelSpec("rbf"))
-    feats = [F[:, : B.shape[1]] for F, B in zip(Phi, to_atoms)]
-    znorm = np.stack([np.diag(K) for K in grams])
+    _, Phi, znorm, lams, _ = _features(views, KernelSpec("rbf"))
+    feats = [F[:, : len(lam)] for F, lam in zip(Phi, lams)]
     offsets = [k - np.einsum("ij,ij->i", F, F) for k, F in zip(znorm, feats)]
     return Phi, znorm, feats, offsets
 
