@@ -42,9 +42,12 @@ class Hyperparams:
 
     An outer iteration ends the fit when it changes the objective by at
     most tol_obj relative to max(1, |objective|). Inside the outer loop
-    the latent block takes one reweighted step per example; tol_x and
-    max_inner govern the map block, the final latent sweep after the loop
-    and embedding (`embed_examples`, `embed_example` and the probes).
+    the latent block takes one reweighted step per example while such a
+    step lowers the objective by more than `optimizer.ONE_STEP_DECREASE`
+    (relative), and is solved from then on; tol_x and max_inner govern
+    those latent solves, the map block, the final latent sweep after the
+    loop and embedding (`embed_examples`, `embed_example` and the
+    probes).
     Such an inner solve stops when its iterate (a latent point or a view
     map) moves by at most tol_x in Euclidean (Frobenius) norm: an
     absolute change in the iterate's own units, not scaled by its size.

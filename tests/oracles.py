@@ -246,13 +246,17 @@ def kernel_fit_atoms(dataset, hp, kernel):
 
 def alternate_plain(maps, X, stacks, map_sweep, hp):
     """`optimizer.alternate` without the Anderson step: every outer
-    iteration but the first opens with the gauge step, then one
-    reweighted latent step per row and one map sweep, until the objective
-    changes by at most tol_obj (relative); a final latent sweep to tol_x
-    follows. Returns (maps, X, FitHistory), with every half step audited
-    for descent."""
+    iteration but the first opens with the gauge step, then the latent
+    block and one map sweep. The latent block takes one reweighted step
+    per row until such a step lowers the objective by at most
+    ONE_STEP_DECREASE (relative); that step is then redone as a sweep to
+    tol_x, and every later block is one. The loop stops when an outer
+    iteration changes the objective by at most tol_obj (relative), and a
+    final latent sweep to tol_x follows. Returns (maps, X, FitHistory),
+    with every half step audited for descent."""
     from intact.core import FitHistory
     from intact.optimizer import (
+        ONE_STEP_DECREASE,
         _audit_descent,
         _objective,
         balance_gauge,
@@ -271,24 +275,32 @@ def alternate_plain(maps, X, stacks, map_sweep, hp):
 
     def latent_sweep(X, max_inner):
         X, x_iters, s = sweep_latents(G, P, znorm, X, hp.c, hp.C2, hp.tol_x, max_inner)
-        record("x-update", _objective(s, G, X, hp))
-        return X, int(np.max(x_iters))
+        return X, int(np.max(x_iters)), _objective(s, G, X, hp)
 
+    steps = 1
     for it in range(hp.max_outer):
         if it > 0:
             maps, X, G, P = balance_gauge(maps, X, G, P, hp)
-        X, x_iters = latent_sweep(X, 1)
+        scale = max(1.0, abs(J_prev))
+        J_in = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp)
+        X_new, x_iters, J_x = latent_sweep(X, steps)
+        if steps < hp.max_inner and J_in - J_x <= ONE_STEP_DECREASE * scale:
+            steps = hp.max_inner
+            X_new, x_iters, J_x = latent_sweep(X, steps)
+        X = X_new
+        record("x-update", J_x)
         maps, w_iters = map_sweep(X, maps)
         G, P, znorm = stacks(maps)
         J = _objective(residual_sq_from_stacks(G, P, znorm, X), G, X, hp)
         record("W-update", J)
         inner.append((x_iters, int(w_iters)))
-        if abs(J - J_prev) <= hp.tol_obj * max(1.0, abs(J_prev)):
+        if abs(J - J_prev) <= hp.tol_obj * scale:
             stop_reason = "objective_tol"
             break
         J_prev = J
 
-    X, x_iters = latent_sweep(X, hp.max_inner)
+    X, x_iters, J_x = latent_sweep(X, hp.max_inner)
+    record("x-update", J_x)
     inner.append((x_iters, 0))
     history = FitHistory(
         objective_trace=tuple(trace),

@@ -1,12 +1,16 @@
-"""The latent block of the alternation: one reweighted step per row inside
-the outer loop, solved to tol_x only after it.
+"""The latent block of the alternation: one reweighted step per row while
+such a step still lowers the objective by more than ONE_STEP_DECREASE
+(relative), a sweep to tol_x from then on and after the outer loop.
 
 A single majorize-minimize step per block keeps the block descent
 monotone, and block successive minimization with one majorizer step per
 block still converges to stationary points (Razaviyayn, Hong & Luo 2013).
 The tests pin that a fit stops where the gradients of the full objective
-vanish, and that it reaches the objective of the driver that solved every
-latent row to tol_x in every outer iteration.
+vanish, as closely as the driver that solved every latent block to tol_x
+did, and that fits whose first step already gains less than the
+threshold (the README linear and rbf fits) are that driver's, bit for
+bit: their maps, latents and trace, and so X W_v^T and every residual
+computed from them.
 """
 
 import dataclasses
@@ -45,6 +49,12 @@ def test_objective_gradients_match_finite_differences():
         assert np.allclose(grad_W[v].ravel(), fd_gradient(at, W[v].ravel()), rtol=1e-5, atol=1e-9)
 
 
+# Four times the largest gradient norms the exact-inner driver stops at:
+# (||grad_W F||, ||grad_X F||) 4.9e-11, 1.0e-12 at C = 1e-4 and 2.5e-9,
+# 4.9e-12 at C = 1e-2 over n = 500 and 5000.
+STATIONARITY = {1e-4: (2e-10, 4e-12), 1e-2: (1e-8, 2e-11)}
+
+
 @pytest.mark.parametrize("C", [1e-4, 1e-2])
 @pytest.mark.parametrize("n", [500, 5000])
 def test_readme_linear_fits_stop_at_a_stationary_point(n, C):
@@ -53,11 +63,12 @@ def test_readme_linear_fits_stop_at_a_stationary_point(n, C):
     model, emb, hist = fit(ds, hp)
     assert hist.stop_reason == "objective_tol"
     norm_W, norm_X = gradient_norms(ds, model, emb.X, hp)
-    assert norm_W <= 1e-6 and norm_X <= 1e-6
+    bound_W, bound_X = STATIONARITY[C]
+    assert norm_W <= bound_W and norm_X <= bound_X
 
 
 def exact_inner(fitter, ds, hp, *args):
-    """`fitter` with every latent sweep solved to tol_x, the in-loop ones
+    """`fitter` with every latent block solved to tol_x, the in-loop ones
     included: the alternation that ran max_inner inner steps per sweep."""
     sweep = optimizer.sweep_latents
 
@@ -69,30 +80,41 @@ def exact_inner(fitter, ds, hp, *args):
         return fitter(ds, hp, *args)
 
 
-def case(kind, key):
-    """The fitter, dataset, hyperparameters and extra fit arguments of one case."""
-    if kind == "linear":
-        return fit, readme_s_curve(500, key), README_HP, ()
-    if kind == "rbf":
-        return kernel_fit, readme_s_curve(100, key), README_HP, (KernelSpec("rbf"),)
-    return (fit, *contaminated(*key), ())
+def maps_of(model):
+    return model.W if model.mode == "linear" else model.kernel_part.A
 
 
-CASES = (
-    [pytest.param("linear", s, id=f"linear-{s}") for s in range(3)]
-    + [pytest.param("rbf", s, id=f"rbf-{s}") for s in RBF_SEEDS]
-    + [pytest.param("planted", (s, r), id=f"planted-{s}-{r}") for s, r in PLANTED]
-)
+def in_loop_latent_counts(history):
+    return [x for x, _ in history.inner_iterations[:-1]]
 
 
-@pytest.mark.parametrize("kind, key", CASES)
-def test_one_step_latents_reach_the_exact_inner_objective(kind, key):
-    fitter, ds, hp, extra = case(kind, key)
-    ref = exact_inner(fitter, ds, hp, *extra)[2]
-    hist = fitter(ds, hp, *extra)[2]
+NEAR = [pytest.param(fit, readme_s_curve, (500, s), (), id=f"linear-{s}") for s in range(3)] + [
+    pytest.param(kernel_fit, readme_s_curve, (100, s), (KernelSpec("rbf"),), id=f"rbf-{s}")
+    for s in RBF_SEEDS
+]
+
+
+@pytest.mark.parametrize("fitter, make, key, extra", NEAR)
+def test_fits_that_start_near_are_the_exact_inner_fits(fitter, make, key, extra):
+    ds = make(*key)
+    model_ref, emb_ref, ref = exact_inner(fitter, ds, README_HP, *extra)
+    model, emb, hist = fitter(ds, README_HP, *extra)
+    assert hist.objective_trace == ref.objective_trace
+    assert hist.inner_iterations == ref.inner_iterations
+    assert np.array_equal(emb.X, emb_ref.X)
+    assert all(np.array_equal(M, R) for M, R in zip(maps_of(model), maps_of(model_ref)))
+
+
+@pytest.mark.parametrize("seed, rate", PLANTED)
+def test_contaminated_fits_take_one_step_blocks_first(seed, rate):
+    ds, hp = contaminated(seed, rate)
+    ref = exact_inner(fit, ds, hp)[2]
+    hist = fit(ds, hp)[2]
     J, J_ref = hist.values()[-1], ref.values()[-1]
     assert abs(J - J_ref) <= hp.tol_obj * abs(J_ref)
     assert hist.stop_reason == ref.stop_reason == "objective_tol"
     assert abs(outer_iterations(hist) - outer_iterations(ref)) <= 2
-    assert all(x == 1 for x, _ in hist.inner_iterations[:-1])
-    assert max(x for x, _ in ref.inner_iterations[:-1]) > 1
+    counts = in_loop_latent_counts(hist)
+    k = next(i for i, x in enumerate(counts) if x > 1)
+    assert k >= 1 and all(x == 1 for x in counts[:k]) and all(x > 1 for x in counts[k:])
+    assert sum(counts) < sum(in_loop_latent_counts(ref))
