@@ -433,9 +433,7 @@ def cmd_bench(cfg: dict, args) -> int:
             _, _, Zs = gen_planted_linear(
                 cfg["n"], cfg["view_dims"], hp.d, seed=seed, noise_sigma=cfg["noise_sigma"]
             )
-            rep = robustness_benchmark(
-                validate_dataset(Zs), rate, cfg["magnitude"], hp, seed=seed
-            )
+            rep = robustness_benchmark(validate_dataset(Zs), rate, cfg["magnitude"], hp)
             ce.append(rep.cauchy_error)
             le.append(rep.l2_error)
             rr.append(rep.ratio)

@@ -41,8 +41,8 @@ def reconstruction_error(dataset, model: IntactModel, X) -> float:
 def align_to_truth(X_est, X_true) -> AlignmentScore:
     """Least-squares affine alignment of X_est onto X_true.
 
-    Requires X_est to have full column rank; the residual is invariant
-    under invertible re-parameterizations of X_est.
+    Requires finite inputs and X_est of full column rank; the residual is
+    invariant under invertible re-parameterizations of X_est.
     """
     X_est = np.asarray(X_est, dtype=np.float64)
     X_true = np.asarray(X_true, dtype=np.float64)
@@ -50,6 +50,8 @@ def align_to_truth(X_est, X_true) -> AlignmentScore:
         raise ShapeMismatch(
             f"estimate {X_est.shape} and truth {X_true.shape} differ in shape"
         )
+    if not (np.all(np.isfinite(X_est)) and np.all(np.isfinite(X_true))):
+        raise NonFiniteInput("alignment inputs contain NaN or infinite entries")
     n, d = X_est.shape
     aug = np.column_stack([X_est, np.ones(n)])
     sol, _, rank, _ = np.linalg.lstsq(aug, X_true, rcond=None)
@@ -190,20 +192,18 @@ def robustness_benchmark(
     contamination_rate: float,
     magnitude: float,
     hp: Hyperparams,
-    seed: int = None,
 ) -> RobustnessReport:
     """Contaminate one view with +/-magnitude outliers and compare fits.
 
-    A seeded random subset of view 0's entries is replaced. The Cauchy fit
-    and the squared-error baseline with the same d and regularizers, the
-    exact L2 optimum from `l2_fit`, are both trained on the corrupted data
-    and scored by squared reconstruction error against the clean views,
-    isolating the effect of the loss function.
+    A random subset of view 0's entries, drawn from hp.seed, is replaced.
+    The Cauchy fit and the squared-error baseline with the same d and
+    regularizers, the exact L2 optimum from `l2_fit`, are both trained on
+    the corrupted data and scored by squared reconstruction error against
+    the clean views, isolating the effect of the loss function.
     """
     if not 0.0 <= contamination_rate < 0.5:
         raise ValueError("contamination_rate must lie in [0, 0.5)")
-    seed = hp.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(hp.seed)
     clean = [np.asarray(Z, dtype=np.float64) for Z in base_dataset.views]
     corrupted = [Z.copy() for Z in clean]
     n_entries = corrupted[0].size

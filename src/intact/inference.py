@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hyperparams, IntactModel
+from .core import IntactModel
 from .errors import ZeroRegularizer
 from .estimators import rho_sq
 from .optimizer import (
@@ -16,6 +16,9 @@ from .optimizer import (
     residual_sq_from_stacks,
     sweep_latents,
 )
+
+# Midpoint pairs drawn by `local_convexity_check`.
+CONVEXITY_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -41,37 +44,35 @@ class StabilityReport:
         return 0.0 if self.measured_deviation == 0 else float("inf")
 
 
-def embed_example(z_new, model: IntactModel, hp: Hyperparams = None, x0=None) -> np.ndarray:
+def embed_example(z_new, model: IntactModel, x0=None) -> np.ndarray:
     """Latent coordinate of a new multi-view example.
 
     Minimizes the per-example objective with the trained maps: the batched
     latent sweep on one row, starting from zero unless x0 is given.
     """
-    hp = hp or model.hyperparams
+    hp = model.hyperparams
     G, P, znorm = _example_stacks(z_new, model)
     X0 = _as_latent(np.zeros(hp.d) if x0 is None else x0, G)
     return sweep_latents(G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, hp.max_inner)[0][0]
 
 
-def embed_examples(view_rows, model: IntactModel, hp: Hyperparams = None):
+def embed_examples(view_rows, model: IntactModel):
     """Embed a batch of examples given as one row matrix per view.
 
     Works in either mode; rows are independent solves from zero.
     """
-    hp = hp or model.hyperparams
+    hp = model.hyperparams
     G, P, znorm = _example_stacks(view_rows, model)
     X0 = np.zeros((znorm.shape[1], hp.d))
     X, _, _ = sweep_latents(G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, hp.max_inner)
     return X
 
 
-def view_losses(z_views, model: IntactModel, x, hp: Hyperparams = None) -> np.ndarray:
-    """Per-view Cauchy losses log(1 + ||z^v - W_v x||^2 / c^2), with c from
-    hp (default: the model's hyperparameters)."""
-    hp = hp or model.hyperparams
+def view_losses(z_views, model: IntactModel, x) -> np.ndarray:
+    """Per-view Cauchy losses log(1 + ||z^v - W_v x||^2 / c^2)."""
     stacks = _example_stacks(z_views, model)
     s = residual_sq_from_stacks(*stacks, _as_latent(x, stacks[0]))[:, 0]
-    return rho_sq(s, hp.c)
+    return rho_sq(s, model.hyperparams.c)
 
 
 def map_spectral_norms(model: IntactModel) -> np.ndarray:
@@ -81,7 +82,7 @@ def map_spectral_norms(model: IntactModel) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, -1], 0.0))
 
 
-def stability_bound(tau: float, model: IntactModel, hp: Hyperparams = None) -> float:
+def stability_bound(tau: float, model: IntactModel) -> float:
     """Worst-case summed per-view loss deviation under a single-coordinate
     perturbation of magnitude tau:
 
@@ -90,7 +91,7 @@ def stability_bound(tau: float, model: IntactModel, hp: Hyperparams = None) -> f
 
     with Omega_v the spectral norm of view v's map. Requires C2 > 0.
     """
-    hp = hp or model.hyperparams
+    hp = model.hyperparams
     if hp.C2 <= 0:
         raise ZeroRegularizer("stability bound undefined when C2 = 0")
     c = hp.c
@@ -103,25 +104,18 @@ def stability_bound(tau: float, model: IntactModel, hp: Hyperparams = None) -> f
 
 
 def local_convexity_check(
-    z_views,
-    model: IntactModel,
-    center,
-    radius: float,
-    n_samples: int = 16,
-    seed: int = 0,
-    hp: Hyperparams = None,
+    z_views, model: IntactModel, center, radius: float, seed: int = 0
 ) -> bool:
-    """Sampled midpoint-convexity audit of the per-example objective, with
-    c and C2 from hp (default: the model's hyperparameters), in a ball
-    around `center`; the stability bound's derivation assumes it."""
+    """Sampled midpoint-convexity audit of the per-example objective in a
+    ball around `center`; the stability bound's derivation assumes it."""
     stacks = _example_stacks(z_views, model)
     center = _as_latent(center, stacks[0])[0]
     rng = np.random.default_rng(seed)
     # row k holds a_k then b_k: the order of drawing one vector at a time
-    ab = center + radius * rng.normal(size=(n_samples, 2, center.shape[0]))
+    ab = center + radius * rng.normal(size=(CONVEXITY_SAMPLES, 2, center.shape[0]))
     a, b = ab[:, 0], ab[:, 1]
     X = np.vstack([a, b, 0.5 * (a + b)])
-    hp = hp or model.hyperparams
+    hp = model.hyperparams
     J = _example_objectives(stacks, X, hp.c, hp.C2)
     ja, jb, jm = np.split(J, 3)
     bound = 0.5 * (ja + jb)
@@ -131,25 +125,20 @@ def local_convexity_check(
 def stability_probe(
     z_views,
     model: IntactModel,
-    hp: Hyperparams = None,
     tau: float = 0.0,
     view_index: int = 0,
     coord_index: int = 0,
-    convexity_samples: int = 16,
     seed: int = 0,
 ) -> StabilityReport:
     """Embed an example and its perturbed copy and compare the summed
     per-view loss deviation against the stability bound.
 
-    The solves, the measured losses, the convexity check and the bound all
-    use hp (default: the model's hyperparameters). The perturbed embedding
-    starts from the unperturbed solution, matching the local neighborhood
-    the bound's derivation works in. A sampled
+    The perturbed embedding starts from the unperturbed solution, matching
+    the local neighborhood the bound's derivation works in. A sampled
     local-convexity check is attached so bound violations can be told
     apart from assumption failures.
     """
-    hp = hp or model.hyperparams
-    if hp.C2 <= 0:
+    if model.hyperparams.C2 <= 0:
         raise ZeroRegularizer("stability probes need C2 > 0")
     zs = [np.asarray(z, dtype=np.float64).reshape(-1) for z in z_views]
     if not 0 <= view_index < len(zs):
@@ -157,15 +146,15 @@ def stability_probe(
     if not 0 <= coord_index < zs[view_index].shape[0]:
         raise IndexError(f"coordinate index {coord_index} out of range")
 
-    x = embed_example(zs, model, hp)
+    x = embed_example(zs, model)
     z_hat = [z.copy() for z in zs]
     z_hat[view_index][coord_index] += tau
     # tau = 0 poses the identical problem; re-solving would only add noise
-    x_hat = x if tau == 0.0 else embed_example(z_hat, model, hp, x0=x)
+    x_hat = x if tau == 0.0 else embed_example(z_hat, model, x0=x)
 
-    losses = view_losses(zs, model, x, hp) - view_losses(z_hat, model, x_hat, hp)
+    losses = view_losses(zs, model, x) - view_losses(z_hat, model, x_hat)
     measured = float(np.sum(np.abs(losses)))
-    bound = stability_bound(tau, model, hp)
+    bound = stability_bound(tau, model)
     radius = max(float(np.linalg.norm(x_hat - x)), abs(tau), 1e-6)
     return StabilityReport(
         tau=float(tau),
@@ -174,7 +163,5 @@ def stability_probe(
         measured_deviation=measured,
         beta_bound=bound,
         holds=measured <= bound + 1e-12,
-        local_convex=local_convexity_check(
-            zs, model, x, radius, n_samples=convexity_samples, seed=seed, hp=hp
-        ),
+        local_convex=local_convexity_check(zs, model, x, radius, seed=seed),
     )

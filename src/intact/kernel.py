@@ -36,12 +36,15 @@ kernel one (README S-curve, n = 1000: 61 against 10). A linear-kernel fit
 keeps `default_init` on the inputs, so that it takes the linear fit's
 steps.
 
-Every Gram is PSD-checked (`ensure_psd`): eigenvalues below
-PSD_REJECT raise, and those between it and PSD_JITTER_TRIGGER get a tiny
-diagonal shift. Only `gram` checks a model's Grams, at the first
-`KernelModel.gram` or `.G` access; it first tries a Cholesky
-factorization of K + |PSD_JITTER_TRIGGER| I, which succeeds only when no
-eigenvalue lies below the trigger and costs a fraction of `eigvalsh`;
+Every Gram is PSD-checked (`ensure_psd`) against thresholds scaled by
+s = max(1, largest diagonal entry of K), since eigenvalue round-off grows
+with the Gram's scale (a linear Gram of raw inputs can have entries of
+1e10 and more): eigenvalues below PSD_REJECT s raise, and those between
+it and PSD_JITTER_TRIGGER s get a tiny diagonal shift. An rbf Gram has a
+unit diagonal, so s = 1 there. Only `gram` checks a model's Grams, at the
+first `KernelModel.gram` or `.G` access; it first tries a Cholesky
+factorization of K + |PSD_JITTER_TRIGGER| s I, which succeeds only when
+no eigenvalue lies below the trigger and costs a fraction of `eigvalsh`;
 only a failed factorization computes the eigenvalues.
 
 An rbf block k(a_i, b_j) = exp(-gamma ||a_i - b_j||^2) is evaluated in
@@ -84,6 +87,9 @@ from .optimizer import (
     residual_sq_from_stacks,
 )
 
+# Thresholds on the smallest Gram eigenvalue, relative to
+# max(1, largest diagonal entry): eigenvalue round-off grows with the
+# Gram's scale.
 PSD_JITTER_TRIGGER = -1e-8
 PSD_REJECT = -1e-4
 
@@ -131,14 +137,16 @@ def _psd_spectrum(K: np.ndarray, vectors: bool):
     """Symmetrized, PSD-checked K with its ascending eigenvalues and, if
     `vectors`, eigenvectors (else None); see `ensure_psd`.
 
-    Without `vectors`, a Cholesky factorization of K + |PSD_JITTER_TRIGGER| I
-    with a finite diagonal certifies that no eigenvalue lies below the
-    trigger, where the eigenvalue rule returns K unchanged: K is returned
-    with no eigenvalues (None). Only a failed factorization runs eigvalsh."""
+    Without `vectors`, a Cholesky factorization of K + |trigger| I with a
+    finite diagonal certifies that no eigenvalue lies below the trigger,
+    where the eigenvalue rule returns K unchanged: K is returned with no
+    eigenvalues (None). Only a failed factorization runs eigvalsh."""
     K = 0.5 * (K + K.T)
+    # a NaN diagonal leaves the scale at 1: max keeps its first argument
+    scale = max(1.0, float(np.max(K.diagonal())))
     if not vectors:
         shifted = K.copy()
-        shifted.flat[:: K.shape[0] + 1] += abs(PSD_JITTER_TRIGGER)
+        shifted.flat[:: K.shape[0] + 1] += abs(PSD_JITTER_TRIGGER) * scale
         try:
             if np.isfinite(np.linalg.cholesky(shifted).diagonal().sum()):
                 return K, None, None
@@ -146,9 +154,9 @@ def _psd_spectrum(K: np.ndarray, vectors: bool):
             pass
     lam, U = np.linalg.eigh(K) if vectors else (np.linalg.eigvalsh(K), None)
     lam_min = float(lam[0])
-    if lam_min < PSD_REJECT:
+    if lam_min < PSD_REJECT * scale:
         raise GramNotPSD(f"smallest Gram eigenvalue {lam_min:.3e}")
-    if lam_min < PSD_JITTER_TRIGGER:
+    if lam_min < PSD_JITTER_TRIGGER * scale:
         shift = 1e-10 * float(np.mean(np.diag(K)))
         K = K + shift * np.eye(K.shape[0])
         lam = lam + shift
@@ -337,5 +345,5 @@ def kernel_embed_many(z_rows, km: KernelModel, hp: Hyperparams):
     """Embed a batch of new multi-view examples (one row matrix per view):
     `embed_examples` on the kernel-mode model of km and hp."""
     model = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)
-    return embed_examples(z_rows, model, hp)
+    return embed_examples(z_rows, model)
 

@@ -283,6 +283,11 @@ class _Cursor:
         M = _parse_rows(self.path, self.lines[start:self.pos], start + 1, cols, None)
         if need > 0:
             self.next()  # the file ends inside the block: raises ParseError
+        finite = np.isfinite(M).all(axis=1)
+        if not finite.all():
+            rows = [k for k in range(start, self.pos) if self.lines[k].strip()]
+            self.pos = rows[int(np.argmin(finite))] + 1
+            self.fail(f"{keyword} {index} has a non-finite entry")
         return M
 
     def check(self, make, *args, **kwargs):
@@ -331,8 +336,9 @@ def load_model(path):
     value `Hyperparams` or `KernelSpec` rejects, an rbf gamma of 'none', a
     standardization mean that is not finite or scale that is not finite
     and > 0, a block whose index or shape disagrees with the header (m, d,
-    n_train, view_dims) and a training view that `core.check_sq_norms`
-    rejects all raise ParseError with the line number.
+    n_train, view_dims), a non-finite entry in any W, A or Z block (at its
+    row's line) and a training view that `core.check_sq_norms` rejects all
+    raise ParseError with the line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cur = _Cursor(fh.readlines(), path)

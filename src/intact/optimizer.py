@@ -127,6 +127,10 @@ ANDERSON_MIN_GAIN = 1e-12
 # solved to tol_x in every outer iteration.
 ONE_STEP_DECREASE = 1e-3
 
+# The start clips each column of the inputs to its median +/- this many
+# MAD-based robust scales.
+WINSOR_SCALES = 3.0
+
 _NOT_SPD = (
     "reweighted system is not positive definite; "
     "a positive regularizer guarantees solvability"
@@ -340,10 +344,9 @@ def _example_objectives(stacks, X, c: float, C2: float) -> np.ndarray:
     return rho_sq(s, c).sum(axis=0) / len(s) + C2 * (X * X).sum(axis=1)
 
 
-def _example_system(z_views, model: IntactModel, x, hp: Hyperparams = None):
-    """Stacks, reweighted system (H, rhs) and latent point of one example
-    at x, with c and C2 from hp (default: the model's hyperparameters)."""
-    hp = hp or model.hyperparams
+def _example_system(z_views, model: IntactModel, x):
+    """Stacks, reweighted system (H, rhs) and latent point of one example at x."""
+    hp = model.hyperparams
     stacks = _example_stacks(z_views, model)
     x = _as_latent(x, stacks[0])
     _, H, rhs = _latent_system(*stacks, x, hp.c, hp.C2)
@@ -385,16 +388,15 @@ def majorant_curvature(z_views, model: IntactModel, x_k) -> np.ndarray:
     return H / len(stacks[0])
 
 
-def majorant_value(x, x_k, z_views, model: IntactModel, hp: Hyperparams = None) -> float:
-    """Quadratic bound psi(x; x_k) tangent to the per-example objective at
-    x_k, with c and C2 from hp (default: the model's hyperparameters).
+def majorant_value(x, x_k, z_views, model: IntactModel) -> float:
+    """Quadratic bound psi(x; x_k) tangent to the per-example objective at x_k.
 
     Because log(1+s) is concave in s >= 0 the bound dominates the
     objective everywhere, and its closed-form minimizer is exactly the
     reweighted update.
     """
-    hp = hp or model.hyperparams
-    stacks, H, rhs, x_k = _example_system(z_views, model, x_k, hp)
+    hp = model.hyperparams
+    stacks, H, rhs, x_k = _example_system(z_views, model, x_k)
     delta = np.asarray(x, dtype=np.float64).reshape(-1) - x_k
     J = float(_example_objectives(stacks, x_k[None], hp.c, hp.C2)[0])
     return J + float(delta @ (2.0 * (H @ x_k - rhs) + H @ delta)) / len(stacks[0])
@@ -663,8 +665,8 @@ def alternate(maps, X, stacks, map_sweep, hp: Hyperparams):
     return maps, X, history
 
 
-def _winsorize_columns(Z: np.ndarray, n_scales: float = 3.0) -> np.ndarray:
-    """Clip each column to median +/- n_scales robust scales (MAD-based).
+def _winsorize_columns(Z: np.ndarray) -> np.ndarray:
+    """Clip each column to median +/- WINSOR_SCALES robust scales (MAD-based).
 
     Leaves well-behaved data essentially untouched but keeps gross
     outliers from dominating the principal directions used only for
@@ -674,7 +676,7 @@ def _winsorize_columns(Z: np.ndarray, n_scales: float = 3.0) -> np.ndarray:
     mad = np.median(np.abs(Z - med), axis=0) * 1.4826
     fallback = np.where(Z.std(axis=0) > 0, Z.std(axis=0), 1.0)
     scale = np.where(mad > 0, mad, fallback)
-    return np.clip(Z, med - n_scales * scale, med + n_scales * scale)
+    return np.clip(Z, med - WINSOR_SCALES * scale, med + WINSOR_SCALES * scale)
 
 
 def default_init(views, hp: Hyperparams):

@@ -7,6 +7,7 @@ thresholds are recorded next to each assertion.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -138,8 +139,8 @@ def test_05_robustness_ablation():
                                       noise_sigma=0.05)
         hp = Hyperparams(d=3, c=1.0, C1=1e-3, C2=1e-3, seed=seed,
                          max_outer=150)
-        rep = robustness_benchmark(validate_dataset(Zs), 0.3, 10.0, hp,
-                                   seed=seed)
+        rep = robustness_benchmark(validate_dataset(Zs), 0.3, 10.0,
+                                   replace(hp, seed=seed))
         ratios.append(rep.ratio)
     med = float(np.median(ratios))
     elapsed = time.perf_counter() - t0
@@ -180,7 +181,7 @@ def test_07_stability_probes():
         v = int(rng.integers(0, ds.m))
         j = int(rng.integers(0, ds.view_dims[v]))
         rep = stability_probe(
-            [Z[i] for Z in ds.views], model, hp,
+            [Z[i] for Z in ds.views], model,
             tau=taus[p % 2], view_index=v, coord_index=j, seed=p,
         )
         if not rep.holds:
@@ -200,7 +201,7 @@ def test_08_inference_self_consistency():
     ds = validate_dataset(Zs)
     hp = Hyperparams(d=3, C1=1e-3, C2=1e-2, seed=3)
     model, emb, _ = fit(ds, hp)
-    X_again = embed_examples(list(ds.views), model, hp)
+    X_again = embed_examples(list(ds.views), model)
     worst = float(np.max(np.abs(X_again - emb.X)))
     _report(8, "inference-self-consistency", worst < 1e-6,
             f"max coordinate diff {worst:.3e}")

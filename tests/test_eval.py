@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from intact import (
     validate_dataset,
 )
 from intact.core import IntactModel, freeze_array
-from intact.errors import EmptyTrainingSet, RankDeficient, ShapeMismatch
+from intact.errors import EmptyTrainingSet, NonFiniteInput, RankDeficient, ShapeMismatch
 from oracles import objective_terms_bruteforce
 
 
@@ -105,6 +107,16 @@ def test_align_rank_deficient():
         align_to_truth(X_true[:, :1], X_true)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["estimate", "truth"])
+def test_align_rejects_non_finite_inputs(which, value):
+    X_true = np.random.default_rng(8).normal(size=(20, 2))
+    X_est = X_true + 0.1
+    (X_est if which == "estimate" else X_true)[3, 1] = value
+    with pytest.raises(NonFiniteInput):
+        align_to_truth(X_est, X_true)
+
+
 # ---------------------------------------------------------------------------
 # k-NN harness
 # ---------------------------------------------------------------------------
@@ -177,7 +189,7 @@ def test_robustness_contamination_favors_cauchy():
     for seed in range(3):
         _, _, Zs = gen_planted_linear(100, [6, 6, 6], 3, seed=seed, noise_sigma=0.05)
         hp = Hyperparams(d=3, C1=1e-3, C2=1e-3, seed=seed, max_outer=100)
-        rep = robustness_benchmark(validate_dataset(Zs), 0.3, 10.0, hp, seed=seed)
+        rep = robustness_benchmark(validate_dataset(Zs), 0.3, 10.0, replace(hp, seed=seed))
         ratios.append(rep.ratio)
     assert np.median(ratios) < 0.5
 
@@ -186,8 +198,8 @@ def test_robustness_deterministic_per_seed():
     _, _, Zs = gen_planted_linear(40, [4, 4], 2, seed=11, noise_sigma=0.05)
     hp = Hyperparams(d=2, C1=1e-3, C2=1e-3, seed=11, max_outer=40)
     ds = validate_dataset(Zs)
-    r1 = robustness_benchmark(ds, 0.2, 10.0, hp, seed=5)
-    r2 = robustness_benchmark(ds, 0.2, 10.0, hp, seed=5)
+    r1 = robustness_benchmark(ds, 0.2, 10.0, replace(hp, seed=5))
+    r2 = robustness_benchmark(ds, 0.2, 10.0, replace(hp, seed=5))
     assert r1 == r2
 
 

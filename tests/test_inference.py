@@ -47,7 +47,7 @@ def test_embed_recovers_planted_point():
     W = [rng.normal(size=(D, 3)) for D in (4, 5)]
     model = make_model(W, hp)
     x_true = rng.normal(size=3)
-    x = embed_example([Wv @ x_true for Wv in W], model, hp)
+    x = embed_example([Wv @ x_true for Wv in W], model)
     assert np.max(np.abs(x - x_true)) < 1e-6
 
 
@@ -56,14 +56,14 @@ def test_embed_zero_views_is_exactly_zero():
     hp = Hyperparams(d=2, C1=0.0, C2=0.1)
     W = [rng.normal(size=(3, 2))]
     model = make_model(W, hp)
-    x = embed_example([np.zeros(3)], model, hp)
+    x = embed_example([np.zeros(3)], model)
     assert np.array_equal(x, np.zeros(2))
 
 
 def test_embed_training_examples_reproduce_coordinates():
     ds, hp, model, emb = trained_model(seed=2)
     rows = [Z for Z in ds.views]
-    X = embed_examples(rows, model, hp)
+    X = embed_examples(rows, model)
     assert np.max(np.abs(X - emb.X)) < 1e-6
 
 
@@ -74,16 +74,16 @@ def test_embed_idempotent_on_reconstructions():
     model = make_model(W, hp)
     x_hat = rng.normal(size=2)
     targets = [Wv @ x_hat for Wv in W]
-    x_again = embed_example(targets, model, hp)
+    x_again = embed_example(targets, model)
     assert np.max(np.abs(x_again - x_hat)) < 1e-8
 
 
 def test_embed_examples_checks_shapes():
     ds, hp, model, _ = trained_model(seed=4)
     with pytest.raises(ShapeMismatch):
-        embed_examples([Z[:, :-1] for Z in ds.views], model, hp)
+        embed_examples([Z[:, :-1] for Z in ds.views], model)
     with pytest.raises(ShapeMismatch):
-        embed_examples([ds.views[0]], model, hp)
+        embed_examples([ds.views[0]], model)
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +92,13 @@ def test_embed_examples_checks_shapes():
 
 def test_bound_zero_at_zero_tau():
     _, hp, model, _ = trained_model(seed=5)
-    assert stability_bound(0.0, model, hp) == 0.0
+    assert stability_bound(0.0, model) == 0.0
 
 
 def test_bound_reference_value():
     hp = Hyperparams(d=1, c=1.0, C1=0.0, C2=1.0)
     model = make_model([np.array([[1.0]])], hp)
-    beta = stability_bound(1.0, model, hp)
+    beta = stability_bound(1.0, model)
     want = math.sqrt(2.0) + 128.0**0.25
     assert math.isclose(beta, want, rel_tol=1e-12)
     assert math.isclose(want, 4.77780, rel_tol=1e-5)
@@ -107,7 +107,7 @@ def test_bound_reference_value():
 def test_bound_sqrt_tau_scaling():
     _, hp, model, _ = trained_model(seed=6)
     for tau in np.logspace(-6, -1, 8):
-        ratio = stability_bound(tau, model, hp) / stability_bound(4 * tau, model, hp)
+        ratio = stability_bound(tau, model) / stability_bound(4 * tau, model)
         assert ratio >= 0.25
 
 
@@ -115,7 +115,7 @@ def test_bound_requires_regularizer():
     hp = Hyperparams(d=1, c=1.0, C1=0.0, C2=0.0)
     model = make_model([np.array([[1.0]])], hp)
     with pytest.raises(ZeroRegularizer):
-        stability_bound(1.0, model, hp)
+        stability_bound(1.0, model)
 
 
 def test_spectral_norms():
@@ -132,7 +132,7 @@ def test_spectral_norms():
 def test_probe_zero_tau():
     ds, hp, model, _ = trained_model(seed=7)
     z = [Z[0] for Z in ds.views]
-    rep = stability_probe(z, model, hp, tau=0.0, view_index=0, coord_index=0)
+    rep = stability_probe(z, model, tau=0.0, view_index=0, coord_index=0)
     assert rep.measured_deviation == 0.0
     assert rep.holds
 
@@ -141,7 +141,7 @@ def test_probe_small_tau_holds():
     ds, hp, model, _ = trained_model(seed=8)
     for i, v, j in [(0, 0, 1), (3, 1, 0), (9, 2, 2)]:
         z = [Z[i] for Z in ds.views]
-        rep = stability_probe(z, model, hp, tau=1e-3, view_index=v, coord_index=j)
+        rep = stability_probe(z, model, tau=1e-3, view_index=v, coord_index=j)
         assert rep.holds
         assert rep.local_convex
 
@@ -149,9 +149,9 @@ def test_probe_small_tau_holds():
 def test_probe_deviation_continuity_in_tau():
     ds, hp, model, _ = trained_model(seed=9)
     z = [Z[2] for Z in ds.views]
-    d_small = stability_probe(z, model, hp, tau=5e-4, view_index=0,
+    d_small = stability_probe(z, model, tau=5e-4, view_index=0,
                               coord_index=0).measured_deviation
-    d_big = stability_probe(z, model, hp, tau=1e-3, view_index=0,
+    d_big = stability_probe(z, model, tau=1e-3, view_index=0,
                             coord_index=0).measured_deviation
     assert d_small <= d_big + 1e-6
 
@@ -163,9 +163,9 @@ def test_probe_sign_symmetry_on_symmetric_instance():
     W = np.array([[1.0], [0.0]])
     model = make_model([W], hp)
     z = [np.array([0.7, 0.0])]
-    d_plus = stability_probe(z, model, hp, tau=0.1, view_index=0,
+    d_plus = stability_probe(z, model, tau=0.1, view_index=0,
                              coord_index=1).measured_deviation
-    d_minus = stability_probe(z, model, hp, tau=-0.1, view_index=0,
+    d_minus = stability_probe(z, model, tau=-0.1, view_index=0,
                               coord_index=1).measured_deviation
     assert abs(d_plus - d_minus) < 1e-8
 
@@ -178,7 +178,7 @@ def test_probe_kernel_model():
     hp = Hyperparams(d=2, C1=1e-3, C2=0.1, seed=10)
     model, _, _ = kernel_fit(ds, hp, KernelSpec("rbf"))
     z = [Z[0] for Z in Zs]
-    rep = stability_probe(z, model, hp, tau=1e-3, view_index=0, coord_index=0)
+    rep = stability_probe(z, model, tau=1e-3, view_index=0, coord_index=0)
     assert np.isfinite(rep.measured_deviation)
     assert rep.beta_bound > 0
 
@@ -204,7 +204,7 @@ def test_probe_linear_kernel_model_matches_linear_model():
     m_ker, _, _ = kernel_fit(ds, hp, KernelSpec("linear"))
     z = [Z[0] for Z in Zs]
     r_lin, r_ker = (
-        stability_probe(z, model, hp, tau=1.0, view_index=0, coord_index=0)
+        stability_probe(z, model, tau=1.0, view_index=0, coord_index=0)
         for model in (m_lin, m_ker)
     )
     assert r_ker.local_convex == r_lin.local_convex
@@ -213,7 +213,7 @@ def test_probe_linear_kernel_model_matches_linear_model():
 
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
 def test_embed_example_and_batch_share_hyperparams(kind):
-    # both paths must solve with the c and C2 of the hyperparameters passed
+    # both paths must solve with the c and C2 of the model's hyperparameters
     from dataclasses import replace
 
     from intact import KernelSpec, kernel_fit
@@ -225,10 +225,10 @@ def test_embed_example_and_batch_share_hyperparams(kind):
         model, _, _ = fit(ds, hp0)
     else:
         model, _, _ = kernel_fit(ds, hp0, KernelSpec("rbf"))
-    hp = replace(model.hyperparams, C2=1.0)
-    X = embed_examples(list(ds.views), model, hp)
+    model = replace(model, hyperparams=replace(model.hyperparams, C2=1.0))
+    X = embed_examples(list(ds.views), model)
     for i in range(5):
-        x = embed_example([Z[i] for Z in ds.views], model, hp)
+        x = embed_example([Z[i] for Z in ds.views], model)
         assert np.max(np.abs(x - X[i])) < 1e-8
 
 
@@ -260,20 +260,22 @@ def test_convexity_check_matches_pointwise_objective():
 
 
 def test_probe_measures_with_its_own_hyperparams():
-    # the model was fitted at c = 1; a probe at c = 0.1 must measure the
-    # per-view losses and check convexity at c = 0.1, as its bound does
+    # the model was fitted at c = 1; a probe of the same maps at c = 0.1
+    # must measure the per-view losses and check convexity at c = 0.1, as
+    # its bound does
     from dataclasses import replace
 
     ds, hp, model, _ = trained_model(seed=5)
     probe_hp = replace(hp, c=0.1)
+    probe_model = replace(model, hyperparams=probe_hp)
     tau = 0.05
     z = [Z[0] for Z in ds.views]
-    rep = stability_probe(z, model, probe_hp, tau=tau, view_index=1, coord_index=2)
+    rep = stability_probe(z, probe_model, tau=tau, view_index=1, coord_index=2)
 
-    x = embed_example(z, model, probe_hp)
+    x = embed_example(z, probe_model)
     z_hat = [zv.copy() for zv in z]
     z_hat[1][2] += tau
-    x_hat = embed_example(z_hat, model, probe_hp, x0=x)
+    x_hat = embed_example(z_hat, probe_model, x0=x)
 
     def losses(zs, x):
         return np.array([
@@ -283,13 +285,13 @@ def test_probe_measures_with_its_own_hyperparams():
 
     want = float(np.sum(np.abs(losses(z, x) - losses(z_hat, x_hat))))
     assert rep.measured_deviation == pytest.approx(want, rel=1e-9, abs=1e-15)
-    assert rep.beta_bound == stability_bound(tau, model, probe_hp)
+    assert rep.beta_bound == stability_bound(tau, probe_model)
 
-    refit = make_model(model.W, probe_hp)
+    radius = max(float(np.linalg.norm(x_hat - x)), tau)
+    assert rep.local_convex == local_convexity_check(z, probe_model, x, radius)
     verdicts = []
     for radius in (1e-3, 0.1, 1.0, 30.0):
-        got = local_convexity_check(z, model, x, radius, hp=probe_hp)
-        assert got == local_convexity_check(z, refit, x, radius)
+        got = local_convexity_check(z, probe_model, x, radius)
         verdicts.append((got, local_convexity_check(z, model, x, radius)))
     assert any(mine != default for mine, default in verdicts)
 

@@ -92,12 +92,14 @@ def test_ensure_psd_branches():
 
 
 def _eigvalsh_rule(K):
-    """ensure_psd's rule read off the full spectrum."""
+    """ensure_psd's rule read off the full spectrum, its thresholds
+    relative to max(1, largest diagonal entry)."""
     K = 0.5 * (K + K.T)
+    scale = max(1.0, float(np.max(np.diag(K))))
     lam_min = np.linalg.eigvalsh(K)[0]
-    if lam_min < -1e-4:
+    if lam_min < -1e-4 * scale:
         raise GramNotPSD(f"smallest Gram eigenvalue {lam_min:.3e}")
-    if lam_min < -1e-8:
+    if lam_min < -1e-8 * scale:
         K = K + 1e-10 * float(np.mean(np.diag(K))) * np.eye(K.shape[0])
     return K
 
@@ -116,6 +118,22 @@ def test_ensure_psd_matches_the_eigenvalue_rule(n, lam_min):
         return
     got = ensure_psd(K)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e10])
+@pytest.mark.parametrize("lam_min", [-1e-9, -1e-7, -1e-5, -1e-3])
+def test_ensure_psd_thresholds_scale_with_the_diagonal(scale, lam_min):
+    # round-off in the eigenvalues of a Gram with large entries grows with
+    # them; the rule reads each eigenvalue relative to the largest diagonal
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+    K = scale * ((Q * np.r_[lam_min, rng.uniform(0.1, 2.0, 29)]) @ Q.T)
+    if lam_min < -1e-4:
+        with pytest.raises(GramNotPSD):
+            ensure_psd(K)
+        return
+    want = _eigvalsh_rule(K)
+    assert np.array_equal(ensure_psd(K).view(np.uint64), want.view(np.uint64))
 
 
 def test_ensure_psd_certifies_an_rbf_gram_without_eigenvalues(monkeypatch):
@@ -308,6 +326,25 @@ def test_linear_kernel_fit_matches_linear_fit():
     assert score.relative_residual < 1e-4
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e6])
+def test_linear_kernel_fit_of_large_raw_inputs(tmp_path, scale):
+    # the linear Grams of unstandardized inputs have entries near scale^2,
+    # and eigenvalue round-off of that size once failed the PSD check
+    from intact import modelio
+
+    _, _, Zs = gen_planted_linear(200, [4, 5, 6], 2, seed=0)
+    ds = validate_dataset([Z * scale for Z in Zs])
+    hp = Hyperparams(d=2)
+    m_ker, e_ker, h_ker = kernel_fit(ds, hp, KernelSpec("linear"))
+    _, _, h_lin = fit(ds, hp)
+    assert h_ker.values()[-1] == pytest.approx(h_lin.values()[-1], rel=1e-9)
+    path = tmp_path / "model.txt"
+    modelio.save_model(path, m_ker)
+    loaded, _ = modelio.load_model(path)
+    x = embed_example([Z[0] for Z in ds.views], loaded)
+    assert np.max(np.abs(x - e_ker.X[0])) <= 1e-6 * np.max(np.abs(e_ker.X))
+
+
 def test_rbf_fit_trace_non_increasing():
     pts = gen_s_curve(60, seed=10)
     ds = validate_dataset(project_to_planes(pts))
@@ -335,7 +372,7 @@ def test_kernel_embed_training_self_consistency():
     hp = Hyperparams(d=2, C1=1e-3, C2=1e-3, seed=11)
     model, emb, _ = kernel_fit(ds, hp, KernelSpec("rbf"))
     for i in (0, 7, 14):
-        x = embed_example([Z[i] for Z in Zs], model, hp)
+        x = embed_example([Z[i] for Z in Zs], model)
         assert np.max(np.abs(x - emb.X[i])) < 1e-4
 
 
@@ -346,8 +383,8 @@ def test_kernel_embed_linear_matches_linear_embedding():
     m_lin, _, _ = fit(ds, hp)
     m_ker, _, _ = kernel_fit(ds, hp, KernelSpec("linear"))
     z_new = [Z[3] * 1.1 for Z in Zs]
-    x_lin = embed_example(z_new, m_lin, hp)
-    x_ker = embed_example(z_new, m_ker, hp)
+    x_lin = embed_example(z_new, m_lin)
+    x_ker = embed_example(z_new, m_ker)
     assert np.max(np.abs(x_lin - x_ker)) < 1e-6
 
 
@@ -356,5 +393,5 @@ def test_kernel_embed_zeros_is_finite():
     ds = validate_dataset(Zs)
     hp = Hyperparams(d=2, C1=1e-3, C2=1e-2, seed=13)
     model, _, _ = kernel_fit(ds, hp, KernelSpec("rbf"))
-    x = embed_example([np.zeros(3), np.zeros(3)], model, hp)
+    x = embed_example([np.zeros(3), np.zeros(3)], model)
     assert np.all(np.isfinite(x))

@@ -16,13 +16,13 @@ from intact import (
     grad_x,
     kernel_fit,
     local_convexity_check,
+    majorant_value,
     make_noisy_views,
     map_spectral_norms,
     objective_full,
     objective_x,
     project_to_planes,
     reconstruction_error,
-    stability_probe,
     standardize_views,
     validate_dataset,
     view_losses,
@@ -167,9 +167,7 @@ LATENT_CALLS = {
     "objective_x": lambda z, model, x: objective_x(z, model, x),
     "grad_x": lambda z, model, x: grad_x(z, model, x),
     "local_convexity_check": lambda z, model, x: local_convexity_check(z, model, x, 0.1),
-    "stability_probe": lambda z, model, x: stability_probe(
-        z, model, hp=Hyperparams(d=len(x), C1=1e-3, C2=1e-3), tau=1e-3
-    ),
+    "majorant_value": lambda z, model, x: majorant_value(x, x, z, model),
 }
 
 

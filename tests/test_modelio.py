@@ -169,6 +169,27 @@ def test_overflowing_training_view_raises_parse_error(tmp_path):
     assert err.value.line_number == start + 9  # the block's last row
 
 
+@pytest.mark.parametrize("kind, block, value", [
+    ("none", "W 1 ", "inf"), ("none", "W 0 ", "nan"),
+    ("rbf", "A 1 ", "-inf"), ("linear", "A 0 ", "nan"), ("rbf", "Z 1 ", "inf"),
+], ids=["W-inf", "W-nan", "A-rbf", "A-linear", "Z"])
+def test_non_finite_block_entry_raises_parse_error_at_its_row(tmp_path, kind, block, value):
+    # a model with one non-finite map entry embeds and evaluates to NaN
+    if kind == "none":
+        lines = _two_view_linear_lines(tmp_path)
+    else:
+        lines = _kernel_lines(tmp_path, kind)
+    row = next(k for k, line in enumerate(lines) if line.startswith(block)) + 2
+    cells = lines[row].split()
+    cells[-1] = value
+    lines[row] = " ".join(cells)
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"{block}has a non-finite entry") as err:
+        modelio.load_model(path)
+    assert err.value.line_number == row + 1
+
+
 @functools.cache
 def _saved_model_texts() -> tuple:
     """Text of a saved standardized linear, rbf-kernel and linear-kernel model."""

@@ -239,7 +239,7 @@ def test_solve_x_scalar_trace_decreasing():
 def test_solve_x_reaches_stationarity():
     for seed in range(5):
         model, zs, x0, hp = random_instance(seed, C2=0.1)
-        g = grad_x(zs, model, embed_example(zs, model, hp))
+        g = grad_x(zs, model, embed_example(zs, model))
         assert np.linalg.norm(g) < 1e-6
 
 
@@ -377,7 +377,7 @@ def test_solve_w_solve_x_symmetry():
 
     hp_x = Hyperparams(d=1, c=1.0, C1=0.0, C2=gamma)
     model = make_model([np.array([[x]]) for x in xs], hp_x)
-    x = embed_example([np.array([z]) for z in zs], model, hp_x)
+    x = embed_example([np.array([z]) for z in zs], model)
     assert abs(W[0, 0] - x[0]) < 1e-10
 
 
@@ -387,13 +387,13 @@ def test_solve_w_solve_x_symmetry():
 
 def test_majorant_tangent_value():
     model, zs, x_k, hp = random_instance(3)
-    v = majorant_value(x_k, x_k, zs, model, hp)
+    v = majorant_value(x_k, x_k, zs, model)
     assert math.isclose(v, objective_x(zs, model, x_k), rel_tol=1e-15)
 
 
 def test_majorant_tangent_gradient():
     model, zs, x_k, hp = random_instance(4)
-    g_psi = fd_gradient(lambda t: majorant_value(t, x_k, zs, model, hp), x_k, h=1e-7)
+    g_psi = fd_gradient(lambda t: majorant_value(t, x_k, zs, model), x_k, h=1e-7)
     g = grad_x(zs, model, x_k)
     assert np.max(np.abs(g_psi - g)) < 1e-8 * max(1.0, np.max(np.abs(g)))
 
@@ -404,7 +404,7 @@ def test_majorant_dominates_objective():
         model, zs, x_k, hp = random_instance(seed)
         for _ in range(20):
             x = x_k + 0.5 * rng.normal(size=hp.d)
-            assert majorant_value(x, x_k, zs, model, hp) >= objective_x(
+            assert majorant_value(x, x_k, zs, model) >= objective_x(
                 zs, model, x
             ) - 1e-12
 
@@ -487,16 +487,13 @@ def test_majorant_uses_its_hyperparams(seed):
     from dataclasses import replace
 
     model, zs, x_k, hp = random_instance(seed)
-    probe_hp = replace(hp, c=0.3, C2=1.0)
-    probe_model = replace(model, hyperparams=probe_hp)
-    v = majorant_value(x_k, x_k, zs, model, probe_hp)
+    probe_model = replace(model, hyperparams=replace(hp, c=0.3, C2=1.0))
+    v = majorant_value(x_k, x_k, zs, probe_model)
     assert math.isclose(v, objective_x(zs, probe_model, x_k), rel_tol=1e-15)
     x = x_k + 0.1
-    assert math.isclose(
-        majorant_value(x, x_k, zs, model, probe_hp),
-        majorant_value(x, x_k, zs, probe_model),
-        rel_tol=1e-15,
-    )
+    psi = majorant_value(x, x_k, zs, probe_model)
+    assert psi >= objective_x(zs, probe_model, x) - 1e-12
+    assert psi != majorant_value(x, x_k, zs, model)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 purpose, and removed names stay removed."""
 
 import importlib
+import inspect
 import typing
 
 import pytest
@@ -77,6 +78,24 @@ REMOVED = [
     ("errors", "NegativeResidual"),
 ]
 
+# (module, function, parameter) of each removed parameter: a model carries
+# its hyperparameters, so no call takes a second set, and a count that only
+# one value ever reached became a module constant
+REMOVED_PARAMETERS = [
+    ("inference", "embed_example", "hp"),
+    ("inference", "embed_examples", "hp"),
+    ("inference", "view_losses", "hp"),
+    ("inference", "stability_bound", "hp"),
+    ("inference", "local_convexity_check", "hp"),
+    ("inference", "local_convexity_check", "n_samples"),
+    ("inference", "stability_probe", "hp"),
+    ("inference", "stability_probe", "convexity_samples"),
+    ("optimizer", "majorant_value", "hp"),
+    ("optimizer", "_example_system", "hp"),
+    ("optimizer", "_winsorize_columns", "n_scales"),
+    ("evaluate", "robustness_benchmark", "seed"),
+]
+
 
 def test_all_is_the_pinned_sorted_list():
     assert PUBLIC == sorted(set(PUBLIC))
@@ -98,3 +117,9 @@ def test_type_hints_resolve(name):
 def test_removed_names_are_absent(module, name):
     assert not hasattr(intact, name)
     assert not hasattr(importlib.import_module(f"intact.{module}"), name)
+
+
+@pytest.mark.parametrize("module, function, parameter", REMOVED_PARAMETERS)
+def test_removed_parameters_are_absent(module, function, parameter):
+    call = getattr(importlib.import_module(f"intact.{module}"), function)
+    assert parameter not in inspect.signature(call).parameters
