@@ -75,10 +75,15 @@ with elementwise NumPy operations across the rows (`_solve_rows`: an
 unrolled Cholesky factorization and two substitutions over the d
 columns), not with LAPACK calls that pay a fixed cost per matrix; at
 thousands of rows that makes the solve several times faster, and no row's
-solution depends on its batch-mates. The map block solves one system per
-view, m or fewer at a time, and keeps LAPACK (`_spd_solve`): routed
-through `_solve_rows`, it made `intact bench` 8-11 % slower on every
-benchmark workload.
+solution depends on its batch-mates. The map block has one d x d system
+per view, m or fewer at a time, with D right-hand sides (`_map_solve`):
+LAPACK's Cholesky factorization certifies each system, one batched
+inverse and one batched product then give the maps. NumPy's stacked
+solve copies its right-hand side a column at a time: at the rbf-kernel
+shape (m = 9, n = 100, D = 77, d = 3) it took 66 us of a 160-170 us map
+iteration, which now takes 100-110 us (one BLAS thread). Routed through
+`_solve_rows` instead, the map systems made `intact bench` 8-11 % slower
+on every benchmark workload.
 
 `objective_full` values this same objective for any model and latents,
 so it equals a fit's last recorded objective. `l2_fit`, the squared-error
@@ -141,27 +146,24 @@ _NOT_SPD = (
 # linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def _spd_solve(H: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve H X = B for symmetric positive-definite H; H may be one
-    (d, d) system or a stack (..., d, d) with B of shape (..., d, k).
+def _map_solve(H: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """B H^-1 for symmetric positive-definite H: one (d, d) system with B
+    of shape (k, d), or a stack (m, d, d) with B of shape (m, k, d).
 
-    The map block's solver (`fit_view_map`, `_ridge_maps`): one system per
-    view, m or fewer per call, too few for `_solve_rows`' elementwise
-    operations to pay for themselves. With `_solve_rows` in both places
-    instead, five alternating benchmark pairs per workload (`--seconds
-    20`, 2-vCPU host) read `bench_s`, the many small fits of `intact
-    bench`, 8-11 % slower in the median on all four workloads, slower in
-    20 of 20 pairs; `train_s` was 3 % slower on `embed-knn` and 2.6 %
-    faster on `rbf-kernel`. NumPy's Cholesky factorization certifies that
-    H is positive definite; the solve is then one np.linalg.solve call,
-    faster at these sizes than two triangular solves with the factor, or
-    than scipy's cho_solve.
+    The map block's one solver (`fit_view_map`, `_ridge_maps`): each map
+    is W_v = (Z_v^T Q_v X) H_v^-1, k = D rows against a d x d system.
+    NumPy's Cholesky factorization certifies that H is positive definite
+    (SingularSystem when it is not); the d x d inverse is then one
+    batched call and W one batched product. The stacked solve this
+    replaces copied its D-column right-hand side a column at a time: at
+    the rbf-kernel shape (m = 9, n = 100, D = 77, d = 3) it took 66 us,
+    the inverse and the product take 8 and 20 us (one BLAS thread).
     """
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(_NOT_SPD) from exc
-    return np.linalg.solve(H, B)
+    return B @ np.linalg.inv(H)
 
 
 def _solve_rows(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -259,14 +261,22 @@ def _example_stacks(view_rows, model: IntactModel):
 
 
 def residual_sq_from_stacks(G, P, znorm, X) -> np.ndarray:
-    """Squared residual of each example on each view, shape (m, n).
+    """Squared residual of each example on each view, shape (m, n):
+    ||z||^2 + sum_j x_j (G x - 2 p)_j.
 
+    The sum over the d columns runs in place, one column at a time in a
+    fixed order, so every entry is rounded the same way whatever the
+    batch around it; two einsum reductions over the length-d axis took
+    1.4-2.3 times as long at (m, n, d) from (3, 150, 3) to (9, 6000, 3).
     Tiny negative values from cancellation are clamped to zero.
     """
-    s = np.einsum("vnd,nd->vn", P, X)
-    s *= -2.0
-    s += znorm
-    s += np.einsum("vne,ne->vn", X @ G, X)
+    Y = X @ G
+    Y -= P  # twice, in place: a 2 P temporary cost more than the sum at n = 6000
+    Y -= P
+    Y *= X
+    s = Y[..., 0] + znorm
+    for j in range(1, X.shape[1]):
+        s += Y[..., j]
     return np.maximum(s, 0.0, out=s)
 
 
@@ -294,7 +304,15 @@ def alternation_objective(views, W_list, X, hp: Hyperparams) -> float:
 
 def _model_residual_sq(dataset, model: IntactModel, X):
     """Squared residuals (m x n) of a dataset under a model of either mode,
-    and the model's G stack."""
+    and the model's G stack. The latents X must be finite rows of the
+    model's width d."""
+    d = model.hyperparams.d
+    if X.ndim != 2:
+        raise ShapeMismatch(f"latents have shape {X.shape}, expected rows of d = {d}")
+    if X.shape[1] != d:
+        raise ShapeMismatch(f"latents have {X.shape[1]} columns, model has d = {d}")
+    if not np.isfinite(X).all():
+        raise NonFiniteInput("latents contain NaN or infinite entries")
     G, P, znorm = _example_stacks(getattr(dataset, "views", dataset), model)
     if znorm.shape[1] != X.shape[0]:  # `_as_rows` made every view's rows equal
         raise ShapeMismatch(f"view 0 has {znorm.shape[1]} rows, expected {X.shape[0]}")
@@ -470,14 +488,14 @@ def fit_view_map(Z, znorm, X, W0, c, C1, tol_x, max_inner):
     m, n, d = Z.shape[0], X.shape[0], X.shape[1]
     W = np.array(W0, dtype=np.float64)
     ridge = n * C1 * np.eye(d)
+    Xt = np.ascontiguousarray(X.T)
     iters = np.zeros(m, dtype=np.int64)
     idx = np.arange(m)
     Za, za, Wa = Z, znorm, W
     for k in range(max_inner):
         s = residual_sq_from_stacks(*_map_products(Za, Wa), za, X)
-        QX = weight_sq(s, c)[:, :, None] * X
-        W_new = _spd_solve(X.T @ QX + ridge, QX.transpose(0, 2, 1) @ Za)
-        W_new = np.ascontiguousarray(W_new.transpose(0, 2, 1))
+        QXt = weight_sq(s, c)[:, None, :] * Xt  # (m, d, n): X^T Q_v
+        W_new = _map_solve(QXt @ X + ridge, (QXt @ Za).transpose(0, 2, 1))
         dW = W_new - Wa
         moved = np.sqrt(np.einsum("vij,vij->v", dW, dW)) > tol_x
         W[idx] = W_new
@@ -721,10 +739,11 @@ def _principal_latents(U, S, sign_rows, hp: Hyperparams) -> np.ndarray:
 
 
 def _ridge_maps(X, views, C1: float) -> list:
-    """Each view's map from one ridge solve against the latents X."""
+    """Each view's map from one ridge solve against the latents X:
+    W_v = Z_v^T X (X^T X + n C1 I)^-1, with the inverse formed once."""
     n, d = X.shape
-    H = X.T @ X + n * C1 * np.eye(d)
-    return [_spd_solve(H, X.T @ np.asarray(Z)).T for Z in views]
+    XH = _map_solve(X.T @ X + n * C1 * np.eye(d), X)  # X H^-1, H shared
+    return [np.asarray(Z).T @ XH for Z in views]
 
 
 def _fit_stack(Z, znorm, X, maps, hp: Hyperparams):

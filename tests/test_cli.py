@@ -221,6 +221,19 @@ def test_eval_perfect_alignment_and_default_k(tmp_path, trained, synth_out):
     assert metrics["k"] == 3
 
 
+def test_eval_rejects_an_embedding_of_the_wrong_width(tmp_path, trained, synth_out, capsys):
+    emb = tmp_path / "embedding.csv"
+    modelio.save_matrix_csv(emb, modelio.load_matrix_csv(trained / "embedding.csv")[:, :2])
+    cfg = write_cfg(
+        tmp_path / "eval.json",
+        {"embedding": str(emb), "truth": str(emb),
+         "model": str(trained / "model.txt"),
+         "manifest": str(synth_out / "manifest.json")},
+    )
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "m")]) == 1
+    assert "error: latents have 2 columns, model has d = 3" in capsys.readouterr().err
+
+
 def test_eval_requires_truth_or_labels(tmp_path, trained, capsys):
     cfg = write_cfg(
         tmp_path / "eval.json", {"embedding": str(trained / "embedding.csv")}

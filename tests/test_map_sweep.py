@@ -15,8 +15,9 @@ from intact import (
     standardize_views,
     validate_dataset,
 )
+from intact.errors import SingularSystem
 from intact.kernel import _features
-from intact.optimizer import _pad_views, _ridge_maps, default_init, fit_view_map
+from intact.optimizer import _map_solve, _pad_views, _ridge_maps, default_init, fit_view_map
 from oracles import fit_view_map as fit_view_map_oracle
 
 HP = Hyperparams(d=3, C1=1e-4, C2=1e-4, seed=0)
@@ -101,3 +102,35 @@ def test_map_sweep_views_independent(case):
         W_s, iters_s = sweep(Z[a:b], znorm[a:b], X, W0[a:b])
         assert np.array_equal(W_s, W[a:b])
         assert np.array_equal(iters_s, iters[a:b])
+
+
+def test_map_block_certifies_its_systems():
+    # with C1 = 0 and a zero latent column every map system X^T Q_v X has a
+    # zero row and column: both map solvers refuse it, and a ridge restores it
+    Z, znorm, feats, _ = CASES["planted-3x6"]()
+    X, W0 = start(feats)
+    X[:, 1] = 0.0
+    with pytest.raises(SingularSystem):
+        fit_view_map(Z, znorm, X, W0, HP.c, 0.0, HP.tol_x, HP.max_inner)
+    with pytest.raises(SingularSystem):
+        _ridge_maps(X, feats, 0.0)
+    assert np.isfinite(sweep(Z, znorm, X, W0)[0]).all()
+    assert all(np.isfinite(M).all() for M in _ridge_maps(X, feats, HP.C1))
+
+
+def test_map_solve_matches_a_lapack_solve_on_a_wide_stack():
+    # W_v = (Z_v^T Q_v X) H_v^-1 at D = 200 feature columns, per view and
+    # with one H shared by every view, as `_ridge_maps` uses it
+    rng = np.random.default_rng(11)
+    m, n, D, d = 4, 150, 200, 3
+    X = rng.normal(size=(n, d))
+    QX = rng.uniform(0.05, 1.0, size=(m, n, 1)) * X
+    H = X.T @ QX + n * HP.C1 * np.eye(d)
+    B = rng.normal(size=(m, n, D)).transpose(0, 2, 1) @ QX
+    want = np.linalg.solve(H, B.transpose(0, 2, 1)).transpose(0, 2, 1)
+    got = _map_solve(H, B)
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+    shared = _map_solve(H[0], B.reshape(-1, d))
+    want = np.linalg.solve(H[0], B.reshape(-1, d).T).T
+    assert np.linalg.norm(shared - want) <= 1e-12 * np.linalg.norm(want)

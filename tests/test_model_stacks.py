@@ -106,6 +106,35 @@ def test_model_metrics_reject_row_count_mismatch(mode):
             f(views, model, X)
 
 
+LATENT_DEFECTS = {
+    "nan": (NonFiniteInput, "latents contain NaN or infinite entries"),
+    "inf": (NonFiniteInput, "latents contain NaN or infinite entries"),
+    "width": (ShapeMismatch, "latents have 3 columns, model has d = 2"),
+    "vector": (ShapeMismatch, r"latents have shape \(5,\), expected rows of d = 2"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(LATENT_DEFECTS))
+@pytest.mark.parametrize("mode", ["linear", "kernel"])
+def test_model_metrics_reject_malformed_latents(mode, defect):
+    error, message = LATENT_DEFECTS[defect]
+    kernel, linear, rng = twin_models(7)
+    model = kernel if mode == "kernel" else linear
+    views = [rng.normal(size=(5, D)) for D in model.view_dims]
+    X = rng.normal(size=(5, 2))
+    if defect == "nan":
+        X[2, 1] = np.nan
+    elif defect == "inf":
+        X[4, 0] = -np.inf
+    elif defect == "width":
+        X = rng.normal(size=(5, 3))
+    else:
+        X = X[:, 0]
+    for f in (objective_full, reconstruction_error):
+        with pytest.raises(error, match=message):
+            f(views, model, X)
+
+
 def test_kernel_model_builds_g_once():
     kernel, _, rng = twin_models(6)
     km = kernel.kernel_part

@@ -23,7 +23,7 @@ from intact import (
 from intact import modelio
 from intact.core import freeze_array
 from intact.kernel import KernelSpec, kernel_alternation_objective
-from intact.optimizer import alternation_objective
+from intact.optimizer import _view_stacks, alternation_objective, residual_sq_from_stacks
 
 instances = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
@@ -98,3 +98,23 @@ def test_objective_full_is_the_fits_last_objective(tmp_path, kernel):
     loaded, loaded_record = modelio.load_model(path)
     again = objective_full(loaded_record.apply(raw), loaded, emb.X)
     assert abs(again - last) <= 1e-12 * last
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_residual_kernel_matches_explicit_residuals(d):
+    # s_vi = ||z_i - W_v x_i||^2, formed from the stacks as
+    # ||z||^2 + sum_j x_j (G x - 2 p)_j, whose rounding error scales with
+    # the terms that cancel: ||W x||^2 + ||z - W x||^2 bounds them
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(50, d))
+    W = [rng.normal(size=(D, d)) for D in (2, 5, 3)]
+    fits = [X @ Wv.T for Wv in W]
+    scale = np.stack([np.sum(F * F, axis=1) for F in fits])
+    views = [F + rng.normal(size=F.shape) for F in fits]
+    s = residual_sq_from_stacks(*_view_stacks(views, W), X)
+    want = np.stack([np.sum((Z - F) ** 2, axis=1) for Z, F in zip(views, fits)])
+    assert np.all(np.abs(s - want) <= 1e-12 * (want + scale))
+    # an exact fit cancels to round-off, and negative round-off is clamped to 0
+    s = residual_sq_from_stacks(*_view_stacks(fits, W), X)
+    assert np.all(s >= 0.0) and np.any(s == 0.0)
+    assert np.all(s <= 1e-12 * scale)
