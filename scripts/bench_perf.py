@@ -18,7 +18,9 @@ RSS, and the fit's outer iterations, stop reason, final objective and
 affine-alignment residual against the sampled S-curve points. A linear
 row also records `embed_s`: `embed_examples` of the training views
 through the fitted model, every latent from zero, timed and scaled the
-same way.
+same way. Every row records `model_load_s`: the fitted model and its
+standardization record are saved once, then `modelio.load_model` of
+that file is timed and scaled the same way.
 """
 
 import argparse
@@ -29,6 +31,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,6 +42,7 @@ import numpy as np  # noqa: E402
 
 import hostspeed  # noqa: E402
 import intact  # noqa: E402
+from intact import modelio  # noqa: E402
 
 ROWS = [("linear", 500), ("linear", 5000), ("linear", 20000), ("rbf", 300), ("rbf", 1000)]
 SEED = 0
@@ -47,12 +51,13 @@ CHILD_TIMEOUT_S = 600
 
 
 def readme_s_curve(n):
-    """The README S-curve's sampled points and its standardized 9 views
-    at 20 dB (3 noisy copies of each coordinate-plane projection)."""
+    """The README S-curve's sampled points, its standardized 9 views at
+    20 dB (3 noisy copies of each coordinate-plane projection) and their
+    standardization record."""
     points = intact.gen_s_curve(n, seed=SEED)
     base = intact.project_to_planes(points)
     views = intact.make_noisy_views(base, intact.NoiseSpec(20.0, 0.3, 3, SEED))
-    return points, intact.standardize_views(intact.validate_dataset(views))[0]
+    return (points, *intact.standardize_views(intact.validate_dataset(views)))
 
 
 def timed(call, repeats, reference):
@@ -71,9 +76,10 @@ def timed(call, repeats, reference):
 
 
 def measure(kind, n, repeats):
-    """One row, in this process: timings and the fit's result, and for a
-    linear row the time to embed the training views through the model."""
-    points, ds = readme_s_curve(n)
+    """One row, in this process: timings and the fit's result, the time to
+    load the fitted model from its file and, for a linear row, the time to
+    embed the training views through the model."""
+    points, ds, record = readme_s_curve(n)
     reference = hostspeed.Reference()
     if kind == "linear":
         run = functools.partial(intact.fit, ds, HP)
@@ -94,6 +100,11 @@ def measure(kind, n, repeats):
     if kind == "linear":
         run = functools.partial(intact.embed_examples, ds.views, model)
         row["embed_s"] = timed(run, repeats, reference)[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        modelio.save_model(path, model, record)
+        row["model_load_s"] = timed(functools.partial(modelio.load_model, path), repeats,
+                                    reference)[0]
     return row
 
 

@@ -334,7 +334,7 @@ def cmd_eval(cfg: dict, args) -> int:
     if cfg["model"]:
         model, record, view_paths = _load_model(cfg, "eval")
         # not for kernel models: their views, Grams and cross-kernels would
-        # make an eval about 2.7 times as long
+        # make an eval about 3 times as long
         if model.mode == "linear":
             views = _load_model_views(model, record, view_paths)
             metrics["reconstruction_error"] = reconstruction_error(views, model, X_est)

@@ -17,9 +17,15 @@ format (leading '#' lines, then comma-separated rows) skips both: one
 `np.loadtxt` call reads it from its path at the speed of NumPy's C
 parser, and any file that call rejects, or reads a different number of
 rows from, goes to `_parse_rows`, so every file loads as the line reader
-reads it. Model-file blocks take no comment lines. `_HYPERPARAM_LINES`
-lists the hyperparameter lines that `save_model` writes and `load_model`
-reads.
+reads it. Model-file blocks take no comment lines. `load_model` reads
+the W, A and Z blocks of a file in the writer's layout together
+(`_Cursor.blocks`): one `np.loadtxt` call per distinct block width, so a
+linear model takes one call and a kernel model one per distinct width
+among d and the view widths. A file laid out otherwise, or one with a
+bad, short, long or non-finite row, goes block by block through
+`_parse_rows` (`_Cursor.block`), which names the line.
+`_HYPERPARAM_LINES` lists the hyperparameter lines that `save_model`
+writes and `load_model` reads.
 """
 
 from __future__ import annotations
@@ -266,7 +272,8 @@ class _Cursor:
 
     def block(self, keyword: str, index: int, rows: int, cols: int) -> np.ndarray:
         """Matrix of a `keyword index rows cols` block whose header must
-        name the index and shape the file header implies."""
+        name the index and shape the file header implies; a Z block (a
+        kernel model's training view) must also pass `check_sq_norms`."""
         parts = self.expect(keyword)
         if len(parts) != 3:
             self.fail(f"expected '{keyword} index rows cols'")
@@ -288,7 +295,47 @@ class _Cursor:
             rows = [k for k in range(start, self.pos) if self.lines[k].strip()]
             self.pos = rows[int(np.argmin(finite))] + 1
             self.fail(f"{keyword} {index} has a non-finite entry")
+        if keyword == "Z":
+            self.check(check_sq_norms, index, M)
         return M
+
+    def blocks(self, specs) -> tuple:
+        """Read-only matrices of the blocks `specs` lists in file order, as
+        (keyword, index, rows, cols) each. Blocks laid out as `save_model`
+        writes them (the header line, then exactly `rows` lines) are parsed
+        together: one `np.loadtxt` call per distinct width, split back into
+        blocks. Any other layout, a group NumPy rejects or reads a different
+        shape from, a non-finite entry or a Z block `check_sq_norms` rejects
+        sends every block back through `block`, which names the line at
+        fault."""
+        start, groups, spans = self.pos, {}, []
+        for keyword, index, rows, cols in specs:
+            # the header, `rows` lines and at least the end marker after them
+            if (self.pos + rows >= len(self.lines)
+                    or self.lines[self.pos] != f"{keyword} {index} {rows} {cols}\n"):
+                break
+            group = groups.setdefault(cols, [])
+            spans.append((cols, len(group), len(group) + rows))
+            group += self.lines[self.pos + 1:self.pos + 1 + rows]
+            self.pos += 1 + rows
+        else:
+            try:
+                parsed = {}
+                for cols, group in groups.items():
+                    if not group[0].split():  # NumPy warns on a group without numbers
+                        raise ValueError
+                    M = parsed[cols] = np.loadtxt(group, dtype=np.float64, comments=None, ndmin=2)
+                    if M.shape != (len(group), cols) or not np.isfinite(M).all():
+                        raise ValueError
+                Ms = [parsed[cols][a:b] for cols, a, b in spans]
+                for (keyword, index, _, _), M in zip(specs, Ms):
+                    if keyword == "Z":
+                        check_sq_norms(index, M)
+                return tuple(map(freeze_array, Ms))
+            except ValueError:
+                pass
+        self.pos = start
+        return tuple(freeze_array(self.block(*spec)) for spec in specs)
 
     def check(self, make, *args, **kwargs):
         """make(*args, **kwargs), its ValueError turned into a ParseError
@@ -337,8 +384,14 @@ def load_model(path):
     standardization mean that is not finite or scale that is not finite
     and > 0, a block whose index or shape disagrees with the header (m, d,
     n_train, view_dims), a non-finite entry in any W, A or Z block (at its
-    row's line) and a training view that `core.check_sq_norms` rejects all
-    raise ParseError with the line number.
+    row's line), a training view that `core.check_sq_norms` rejects and
+    anything but blank lines after the `end` marker all raise ParseError
+    with the line number.
+
+    Blocks in the writer's layout are parsed together, one NumPy parse
+    per block width; any other file, and any file with a faulty block,
+    is read block by block, so both give the same arrays bit for bit and
+    the same error at the same line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cur = _Cursor(fh.readlines(), path)
@@ -384,8 +437,8 @@ def load_model(path):
         record = StandardizeRecord(means=tuple(means), scales=tuple(scales))
 
     if mode == "linear":
-        Ws = [freeze_array(cur.block("W", v, view_dims[v], d)) for v in range(m)]
-        model = IntactModel(mode="linear", W=tuple(Ws), kernel_part=None, hyperparams=hp)
+        Ws = cur.blocks([("W", v, view_dims[v], d) for v in range(m)])
+        model = IntactModel(mode="linear", W=Ws, kernel_part=None, hyperparams=hp)
     else:
         kernel = cur.check(KernelSpec, cur.scalar("kernel", str))
         gammas = []
@@ -398,14 +451,14 @@ def load_model(path):
             if kernel.kind == "rbf" and g is None:
                 cur.fail("an rbf model needs a concrete gamma per view, got 'none'")
             gammas.append(g)
-        As, Zs = [], []
-        for v in range(m):
-            As.append(freeze_array(cur.block("A", v, n_train, d)))
-            Zs.append(freeze_array(cur.block("Z", v, n_train, view_dims[v])))
-            cur.check(check_sq_norms, v, Zs[v])
-        km = KernelModel(A=tuple(As), training_views=tuple(Zs), kernel=kernel,
+        Ms = cur.blocks([spec for v in range(m)
+                         for spec in (("A", v, n_train, d), ("Z", v, n_train, view_dims[v]))])
+        km = KernelModel(A=Ms[0::2], training_views=Ms[1::2], kernel=kernel,
                          gammas=tuple(gammas))
         model = IntactModel(mode="kernel", W=None, kernel_part=km, hyperparams=hp)
     if cur.next() != "end":
         cur.fail("missing end marker")
+    if any(map(str.strip, cur.lines[cur.pos:])):
+        cur.next()
+        cur.fail("unexpected content after the end marker")
     return model, record

@@ -239,13 +239,15 @@ def _as_rows(view_rows, dims) -> list:
 
 
 def _as_latent(x, G) -> np.ndarray:
-    """One latent point as a float row (1 x d), checked against the width d
-    of a model's G stack, which serves both modes."""
+    """One latent point as a finite float row (1 x d), checked against the
+    width d of a model's G stack, which serves both modes."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     if x.shape[1] != G.shape[-1]:
         raise ShapeMismatch(
             f"latent point has {x.shape[1]} coordinates, model has d = {G.shape[-1]}"
         )
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("latent point contains NaN or infinite entries")
     return x
 
 
@@ -415,7 +417,7 @@ def majorant_value(x, x_k, z_views, model: IntactModel) -> float:
     """
     hp = model.hyperparams
     stacks, H, rhs, x_k = _example_system(z_views, model, x_k)
-    delta = np.asarray(x, dtype=np.float64).reshape(-1) - x_k
+    delta = _as_latent(x, stacks[0])[0] - x_k
     J = float(_example_objectives(stacks, x_k[None], hp.c, hp.C2)[0])
     return J + float(delta @ (2.0 * (H @ x_k - rhs) + H @ delta)) / len(stacks[0])
 

@@ -16,6 +16,7 @@ from intact import (
     grad_x,
     kernel_fit,
     local_convexity_check,
+    majorant_curvature,
     majorant_value,
     make_noisy_views,
     map_spectral_norms,
@@ -207,3 +208,22 @@ def test_latent_of_wrong_length_raises_shape_mismatch(fitted_models, mode, call)
     z = [Z[0] for Z in ds.views]
     with pytest.raises(ShapeMismatch, match="latent point has 3 coordinates, model has d = 2"):
         LATENT_CALLS[call](z, models[mode], np.zeros(3))
+
+
+NON_FINITE_LATENT_CALLS = {
+    **LATENT_CALLS,
+    "majorant_curvature": lambda z, model, x: majorant_curvature(z, model, x),
+    "majorant_value_at": lambda z, model, x: majorant_value(x, np.zeros(2), z, model),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_LATENT_CALLS))
+@pytest.mark.parametrize("mode", ["linear", "rbf"])
+def test_non_finite_latent_point_raises_non_finite_input(fitted_models, mode, call, value):
+    # a NaN start made embed_example report an unsolvable system, and the
+    # objective, its gradient and the majorant return NaN with a warning
+    models, ds = fitted_models
+    z = [Z[0] for Z in ds.views]
+    with pytest.raises(NonFiniteInput, match="latent point contains NaN or infinite entries"):
+        NON_FINITE_LATENT_CALLS[call](z, models[mode], np.array([value, 1.0]))

@@ -488,3 +488,134 @@ def test_save_model_text(tmp_path, which):
     path = tmp_path / "model.txt"
     modelio.save_model(path, model, rec)
     assert path.read_text() == _reference_model_text(model, rec)
+
+
+# ---------------------------------------------------------------------------
+# blocks read together, one NumPy parse per block width
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _unequal_width_models() -> tuple:
+    """(model, record, text) of a standardized linear, an rbf and a
+    standardized linear-kernel model with view_dims 3 2 4 and d = 2: in
+    kernel mode A 0, A 1, Z 1 and A 2 share a width, and Z 0 and Z 2 have
+    widths of their own."""
+    _, _, Zs = gen_planted_linear(12, [3, 2, 4], 2, seed=3, noise_sigma=0.05)
+    dataset, record = standardize_views(validate_dataset(Zs))
+    hp = Hyperparams(d=2, seed=0, max_outer=3)
+    models = [
+        (fit(dataset, hp)[0], record),
+        (kernel_fit(dataset, hp, KernelSpec("rbf"))[0], None),
+        (kernel_fit(dataset, hp, KernelSpec("linear"))[0], record),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        out = []
+        for model, rec in models:
+            modelio.save_model(path, model, rec)
+            out.append((model, rec, path.read_text()))
+    return tuple(out)
+
+
+def _model_arrays(model, record) -> list:
+    if model.mode == "linear":
+        arrays = list(model.W)
+    else:
+        arrays = [*model.kernel_part.A, *model.kernel_part.training_views]
+    return arrays + ([*record.means, *record.scales] if record is not None else [])
+
+
+def _same_bits(got, want) -> bool:
+    return len(got) == len(want) and all(
+        a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        for a, b in zip(got, want)
+    )
+
+
+_MODES = pytest.mark.parametrize("which", [0, 1, 2], ids=["linear", "rbf", "linear-kernel"])
+
+
+@_MODES
+def test_unequal_width_models_round_trip_bit_for_bit(tmp_path, which):
+    model, record, text = _unequal_width_models()[which]
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    got, rec = modelio.load_model(path)
+    assert _same_bits(_model_arrays(got, rec), _model_arrays(model, record))
+    assert got.hyperparams == model.hyperparams
+    assert all(not a.flags.writeable for a in _model_arrays(got, rec))
+    modelio.save_model(path, got, rec)
+    assert path.read_text() == text
+
+
+@_MODES
+def test_load_model_reads_writer_files_without_the_block_reader(tmp_path, which, monkeypatch):
+    def no_block_reader(*args, **kwargs):
+        raise AssertionError("_Cursor.block called")
+
+    monkeypatch.setattr(modelio._Cursor, "block", no_block_reader)
+    model, record, text = _unequal_width_models()[which]
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    got, rec = modelio.load_model(path)
+    assert _same_bits(_model_arrays(got, rec), _model_arrays(model, record))
+
+
+def _huge_value(lines, i):
+    parts = lines[i].split()
+    lines[i] = " ".join([*parts[:-1], "1e400"])
+
+
+@pytest.mark.parametrize("which, header", [(0, "W 2 "), (1, "A 2 "), (1, "Z 2 "), (2, "A 2 ")],
+                         ids=["linear-W2", "rbf-A2", "rbf-Z2", "linear-kernel-A2"])
+@pytest.mark.parametrize("row", [0, -1], ids=["first-row", "last-row"])
+@pytest.mark.parametrize("mutate", [_bad_token, _huge_value, _missing_value, _extra_value],
+                         ids=["bad-token", "1e400", "short-row", "wide-row"])
+def test_bad_row_in_the_last_block_of_a_width_group_raises_at_its_line(
+        tmp_path, which, header, row, mutate):
+    # W 2 and A 2 close the group of width d = 2; Z 2 is a group of its own
+    model, _, text = _unequal_width_models()[which]
+    lines = text.splitlines()
+    rows = model.view_dims[2] if header == "W 2 " else model.kernel_part.n_train
+    index = _block_row(lines, header, row % rows)
+    mutate(lines, index)
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line {index + 1}: ") as err:
+        modelio.load_model(path)
+    assert err.value.line_number == index + 1
+
+
+@_MODES
+def test_blank_lines_and_commas_inside_blocks_still_load(tmp_path, which):
+    model, record, text = _unequal_width_models()[which]
+    lines = text.splitlines()
+    for header in ("W 1 ", "A 2 ", "Z 0 "):
+        if any(line.startswith(header) for line in lines):
+            index = _block_row(lines, header, 1)
+            lines[index] = lines[index].replace(" ", ", ")
+            lines.insert(index, "")
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    got, rec = modelio.load_model(path)
+    assert _same_bits(_model_arrays(got, rec), _model_arrays(model, record))
+
+
+@pytest.mark.parametrize("tail, found", [
+    ("garbage\n", 1), ("\n  \ngarbage\n", 3), ("end\n", 1), (None, 1),
+], ids=["garbage", "garbage-after-blank-lines", "second-end", "second-model"])
+def test_content_after_the_end_marker_raises_parse_error_at_its_line(tmp_path, tail, found):
+    _, _, text = _unequal_width_models()[1]
+    path = tmp_path / "model.txt"
+    path.write_text(text + (text if tail is None else tail))
+    with pytest.raises(ParseError, match="after the end marker") as err:
+        modelio.load_model(path)
+    assert err.value.line_number == text.count("\n") + found
+
+
+def test_blank_lines_after_the_end_marker_load(tmp_path):
+    model, _, text = _unequal_width_models()[0]
+    path = tmp_path / "model.txt"
+    path.write_text(text + "\n   \n\t\n")
+    got, _ = modelio.load_model(path)
+    assert _same_bits(list(got.W), list(model.W))

@@ -66,7 +66,7 @@ def test_bench_perf_row_smoke(kind):
     row = load_script("bench_perf").run_row(kind, 60, 1)
     assert set(row) == {
         "kind", "n", "wall_s", "raw_wall_s", "peak_rss_mb", "outer_iterations",
-        "stop_reason", "final_objective", "alignment_residual",
+        "stop_reason", "final_objective", "alignment_residual", "model_load_s",
     } | ({"embed_s"} if kind == "linear" else set())
     assert (row["kind"], row["n"]) == (kind, 60)
     assert row["wall_s"] > 0 and row["raw_wall_s"] > 0
