@@ -18,9 +18,12 @@ RSS, and the fit's outer iterations, stop reason, final objective and
 affine-alignment residual against the sampled S-curve points. A linear
 row also records `embed_s`: `embed_examples` of the training views
 through the fitted model, every latent from zero, timed and scaled the
-same way. Every row records `model_load_s`: the fitted model and its
-standardization record are saved once, then `modelio.load_model` of
-that file is timed and scaled the same way.
+same way, and `embed_peak_mb`: the peak `tracemalloc` traces over one
+such embedding, a figure of its own allocations that, unlike peak RSS,
+does not move with the process's memory layout. Every row records
+`model_load_s`: the fitted model and its standardization record are
+saved once, then `modelio.load_model` of that file is timed and scaled
+the same way.
 """
 
 import argparse
@@ -33,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +79,16 @@ def timed(call, repeats, reference):
     return statistics.median(scaled), statistics.median(raw), result
 
 
+def traced_peak_mb(call):
+    """Peak bytes `tracemalloc` traces over one run of `call`, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def measure(kind, n, repeats):
     """One row, in this process: timings and the fit's result, the time to
     load the fitted model from its file and, for a linear row, the time to
@@ -100,6 +114,7 @@ def measure(kind, n, repeats):
     if kind == "linear":
         run = functools.partial(intact.embed_examples, ds.views, model)
         row["embed_s"] = timed(run, repeats, reference)[0]
+        row["embed_peak_mb"] = traced_peak_mb(run)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.txt"
         modelio.save_model(path, model, record)

@@ -13,6 +13,7 @@ from .optimizer import (
     _as_latent,
     _example_objectives,
     _example_stacks,
+    _stack_blocks,
     residual_sq_from_stacks,
     sweep_latents,
 )
@@ -59,13 +60,19 @@ def embed_example(z_new, model: IntactModel, x0=None) -> np.ndarray:
 def embed_examples(view_rows, model: IntactModel):
     """Embed a batch of examples given as one row matrix per view.
 
-    Works in either mode; rows are independent solves from zero.
+    Works in either mode; rows are independent solves from zero. The rows
+    are checked whole, then their stacks are built and swept one block at
+    a time (`optimizer._stack_blocks`), so memory stays bounded as the
+    row count grows. At d <= 3 the latents are those of one sweep over all
+    rows, bit for bit; at larger d a row can round differently by the
+    batch it is swept in (`sweep_latents`).
     """
     hp = model.hyperparams
-    G, P, znorm = _example_stacks(view_rows, model)
-    X0 = np.zeros((znorm.shape[1], hp.d))
-    X, _, _ = sweep_latents(G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, hp.max_inner)
-    return X
+    return np.concatenate([
+        sweep_latents(G, P, znorm, np.zeros((znorm.shape[1], hp.d)),
+                      hp.c, hp.C2, hp.tol_x, hp.max_inner)[0]
+        for _, (G, P, znorm) in _stack_blocks(view_rows, model)
+    ])
 
 
 def view_losses(z_views, model: IntactModel, x) -> np.ndarray:

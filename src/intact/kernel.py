@@ -78,7 +78,6 @@ from .core import (
 from .errors import GramNotPSD, NonFiniteInput, ShapeMismatch
 from .inference import embed_examples
 from .optimizer import (
-    _as_rows,
     _fit_stack,
     _objective,
     _principal_latents,
@@ -243,11 +242,11 @@ class KernelModel:
         Gram is dropped after its view."""
         return freeze_array(np.stack([A.T @ (self._gram(v) @ A) for v, A in enumerate(self.A)]))
 
-    def stacks(self, view_rows):
-        """Sweep stacks of new examples (one row matrix per view): P_v and
-        the self-kernels through cross-kernels against the retained
-        training views, and the model's G stack."""
-        rows = _as_rows(view_rows, [Z.shape[1] for Z in self.training_views])
+    def stacks(self, rows):
+        """Sweep stacks of new examples, one checked row matrix per view
+        (`optimizer._as_rows`): P_v and the self-kernels through
+        cross-kernels against the retained training views, and the
+        model's G stack."""
         P = np.stack([
             cross_gram(Z, Ztr, self.kernel.kind, g) @ A  # (n_new x n_train) A
             for Z, Ztr, g, A in zip(rows, self.training_views, self.gammas, self.A)

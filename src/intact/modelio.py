@@ -411,9 +411,19 @@ def load_model(path):
     view_dims = cur.numbers(cur.expect("view_dims"), int)
     if len(view_dims) != m or min(view_dims, default=0) < 1:
         cur.fail(f"view_dims must list m = {m} positive sizes")
+    line = {}
     for name, kind in _HYPERPARAM_LINES:
         fields[name] = cur.scalar(name, kind)
-        hp = cur.check(Hyperparams, **fields)
+        line[name] = cur.pos
+    try:
+        hp = Hyperparams(**fields)
+    except ValueError:
+        # re-check the values one line at a time, in file order, so the
+        # error names the line of the first value rejected
+        prefix = {"d": d}
+        for name, _ in _HYPERPARAM_LINES:
+            prefix[name], cur.pos = fields[name], line[name]
+            cur.check(Hyperparams, **prefix)
     standardized = cur.scalar("standardized", int)
     if standardized not in (0, 1):
         cur.fail(f"standardized must be 0 or 1, got {standardized}")

@@ -85,6 +85,29 @@ iteration, which now takes 100-110 us (one BLAS thread). Routed through
 `_solve_rows` instead, the map systems made `intact bench` 8-11 % slower
 on every benchmark workload.
 
+Outside the fitter, the stacks of a call's examples are built one row
+block at a time (`_stack_blocks`): `embed_examples` sweeps each block's
+latents, and `_model_residual_sq` (behind `objective_full`,
+`reconstruction_error` and the robustness benchmark's clean-view error)
+writes each block's residuals into one m x n array. The rows are checked
+whole first, so errors are those of an unblocked call, and a block holds
+at most _STACK_BLOCK_CELLS cells of an m x rows x d stack, so memory no
+longer grows with the row count: under tracemalloc, one embedding of 50k
+README S-curve rows peaked at 3.5 MB through a linear model (50 MB with
+all rows stacked at once) and at 8 MB through a 300-row rbf model
+(131 MB, its n x 300 cross-kernels built whole). At d <= 3 each row's
+latent and residuals are those of one call over all rows, bit for bit,
+as long as the BLAS products that build the stacks round each row the
+same way in a block as over all rows; block row counts are multiples of
+_BLOCK_ROWS for that reason. OpenBLAS 0.3 also switches dgemm kernels
+once a product exceeds about 1e6 multiply-adds, so a block can round
+differently when only the product over all rows crosses that size: a
+kernel model's K_v A_v (rows x n_train x d) at n_train = 300 and d = 3
+crosses it from 1152 rows, a linear P_v = Z_v W_v at D_v = 2 and d = 3
+from about 167k rows. No benchmark workload's product crosses it. At
+d >= 4 the product X G_v in `residual_sq_from_stacks` can round a row by
+its batch in any case.
+
 `objective_full` values this same objective for any model and latents,
 so it equals a fit's last recorded objective. `l2_fit`, the squared-error
 baseline, needs no alternation: its optimum is one soft-thresholded SVD
@@ -131,6 +154,16 @@ ANDERSON_MIN_GAIN = 1e-12
 # tol_obj is; from the first step that lowers it by less, the block is
 # solved to tol_x in every outer iteration.
 ONE_STEP_DECREASE = 1e-3
+
+# Embedding and scoring (`_stack_blocks`) build the stacks of at most this
+# many cells of an m x rows x d stack at once: 2368 rows at m d = 27.
+_STACK_BLOCK_CELLS = 1 << 16
+
+# A stack block's row count is a multiple of this. A BLAS product rounds
+# the last (rows mod unroll) rows of its result with an edge kernel that
+# sums in another order, so blocks of whole unrolls put the same rows at
+# the edge as one product over all rows does (module docstring).
+_BLOCK_ROWS = 64
 
 # The start clips each column of the inputs to its median +/- this many
 # MAD-based robust scales.
@@ -255,11 +288,40 @@ def _example_stacks(view_rows, model: IntactModel):
     """Stacks of examples given as one row matrix (or, for one example, one
     vector) per view, in either mode: explicit maps in linear mode,
     cross-kernels against the retained training views and the cached G
-    stack in kernel mode. Outside the fitter this is the only reader of a
-    model's maps; with zero rows per view it yields the model's G stack."""
+    stack in kernel mode. Outside the fitter this and `_stack_blocks` are
+    the only readers of a model's maps; with zero rows per view it yields
+    the model's G stack."""
+    return _row_stacks(_as_rows(view_rows, model.view_dims), model)
+
+
+def _row_stacks(rows, model: IntactModel):
+    """`_example_stacks` of rows `_as_rows` has already checked."""
     if model.mode == "kernel":
-        return model.kernel_part.stacks(view_rows)
-    return _view_stacks(_as_rows(view_rows, model.view_dims), model.W)
+        return model.kernel_part.stacks(rows)
+    return _view_stacks(rows, model.W)
+
+
+def _stack_blocks(view_rows, model: IntactModel, n=None):
+    """Yield (row slice, stacks) over the examples of one call, block by
+    block, so the m x rows x d stacks and every sweep temporary stay
+    bounded however many rows the call has.
+
+    The rows are checked once, whole, before the first block is built
+    (`_as_rows`, and against n rows when n is given), so every error keeps
+    the type and message of an unblocked call. A block holds at most
+    _STACK_BLOCK_CELLS cells of an m x rows x d stack, rounded down to a
+    multiple of _BLOCK_ROWS, and at least _BLOCK_ROWS rows. Zero rows still
+    yield one (empty) block, which carries the model's G stack.
+    """
+    rows = _as_rows(view_rows, model.view_dims)
+    total = rows[0].shape[0]
+    if n is not None and total != n:
+        raise ShapeMismatch(f"view 0 has {total} rows, expected {n}")
+    cells = len(rows) * model.hyperparams.d
+    step = max(_BLOCK_ROWS, _STACK_BLOCK_CELLS // cells // _BLOCK_ROWS * _BLOCK_ROWS)
+    for lo in range(0, max(total, 1), step):
+        block = slice(lo, lo + step)
+        yield block, _row_stacks([Z[block] for Z in rows], model)
 
 
 def residual_sq_from_stacks(G, P, znorm, X) -> np.ndarray:
@@ -307,7 +369,9 @@ def alternation_objective(views, W_list, X, hp: Hyperparams) -> float:
 def _model_residual_sq(dataset, model: IntactModel, X):
     """Squared residuals (m x n) of a dataset under a model of either mode,
     and the model's G stack. The latents X must be finite rows of the
-    model's width d."""
+    model's width d. The stacks are built one row block at a time
+    (`_stack_blocks`), each block's residuals written into the one
+    (m x n) result."""
     d = model.hyperparams.d
     if X.ndim != 2:
         raise ShapeMismatch(f"latents have shape {X.shape}, expected rows of d = {d}")
@@ -315,10 +379,10 @@ def _model_residual_sq(dataset, model: IntactModel, X):
         raise ShapeMismatch(f"latents have {X.shape[1]} columns, model has d = {d}")
     if not np.isfinite(X).all():
         raise NonFiniteInput("latents contain NaN or infinite entries")
-    G, P, znorm = _example_stacks(getattr(dataset, "views", dataset), model)
-    if znorm.shape[1] != X.shape[0]:  # `_as_rows` made every view's rows equal
-        raise ShapeMismatch(f"view 0 has {znorm.shape[1]} rows, expected {X.shape[0]}")
-    return residual_sq_from_stacks(G, P, znorm, X), G
+    s = np.empty((len(model.view_dims), X.shape[0]))
+    for block, stacks in _stack_blocks(getattr(dataset, "views", dataset), model, len(X)):
+        s[:, block] = residual_sq_from_stacks(*stacks, X[block])
+    return s, stacks[0]
 
 
 def objective_full(dataset, model: IntactModel, X) -> float:
@@ -431,7 +495,10 @@ def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner):
 
     Each row iterates until it moves by at most tol_x (or max_inner
     times) and then drops out of the batch; the stacks of the rows still
-    active are compacted only when some row drops out. Rows are
+    active are compacted only when some row drops out (`np.compress` on
+    the row axis: 146 us against 382 us for a boolean index at
+    9 x 6000 x 3). Embedding calls this once per row block of
+    `_stack_blocks`, so P and znorm are one block's. Rows are
     independent, bit for bit, at d <= 3: the latent step is elementwise
     across rows, but at larger d the product X @ G in
     `residual_sq_from_stacks` is a BLAS GEMM whose rounding of a row can
@@ -457,7 +524,8 @@ def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner):
         X[idx] = X_new
         iters[idx] = k + 1
         if k + 1 < max_inner and not moved.all():
-            idx, Pa, za, X_new = idx[moved], Pa[:, moved], za[:, moved], X_new[moved]
+            idx, X_new = idx[moved], X_new[moved]
+            Pa, za = np.compress(moved, Pa, axis=1), np.compress(moved, za, axis=1)
         Xa = np.ascontiguousarray(X_new)
     s_final = residual_sq_from_stacks(G, P, znorm, X)
     return X, iters, s_final

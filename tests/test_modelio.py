@@ -103,6 +103,37 @@ def test_inconsistent_header_raises_parse_error_with_line(tmp_path, mutate):
     assert err.value.line_number == index + 1
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"C2": "-1"}, "C1 and C2 must be non-negative"),
+    ({"tol_x": "0"}, "tolerances must be > 0"),
+    ({"max_outer": "0", "tol_obj": "0"}, "iteration limits must be >= 1"),
+    ({"C1": "inf", "seed": "-1"}, "C1 must be finite"),
+], ids=["C2", "tol_x", "first-of-two", "first-of-two-float"])
+def test_hyperparams_built_once_and_rejected_value_named_at_its_line(tmp_path, monkeypatch,
+                                                                     bad, message):
+    built = []
+
+    def counting(**fields):
+        built.append(fields)
+        return Hyperparams(**fields)
+
+    monkeypatch.setattr(modelio, "Hyperparams", counting)
+    lines = _two_view_linear_lines(tmp_path)
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    modelio.load_model(path)
+    assert len(built) == 2  # d alone, then every field at once
+    first = None
+    for key, value in bad.items():
+        i = next(k for k, line in enumerate(lines) if line.split()[0] == key)
+        lines[i] = f"{key} {value}"
+        first = i if first is None else min(first, i)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message) as err:
+        modelio.load_model(path)
+    assert err.value.line_number == first + 1
+
+
 @pytest.mark.parametrize("line", ["scale 0 inf 1", "scale 0 0 1", "mean 0 nan 1"])
 def test_broken_standardization_record_raises_parse_error_at_its_line(tmp_path, line):
     _, _, Zs = gen_planted_linear(10, [2, 3], 2, seed=0, noise_sigma=0.05)

@@ -67,11 +67,11 @@ def test_bench_perf_row_smoke(kind):
     assert set(row) == {
         "kind", "n", "wall_s", "raw_wall_s", "peak_rss_mb", "outer_iterations",
         "stop_reason", "final_objective", "alignment_residual", "model_load_s",
-    } | ({"embed_s"} if kind == "linear" else set())
+    } | ({"embed_s", "embed_peak_mb"} if kind == "linear" else set())
     assert (row["kind"], row["n"]) == (kind, 60)
     assert row["wall_s"] > 0 and row["raw_wall_s"] > 0
     assert row["peak_rss_mb"] > 10
     assert row["outer_iterations"] >= 1 and row["stop_reason"] == "objective_tol"
     assert math.isfinite(row["final_objective"]) and row["final_objective"] > 0
     assert 0 <= row["alignment_residual"] < 1
-    assert kind != "linear" or row["embed_s"] > 0
+    assert kind != "linear" or (row["embed_s"] > 0 and row["embed_peak_mb"] > 0)
