@@ -15,15 +15,16 @@ benchmark's host reference (perfbench/hostspeed.py) and scaled by
 NOMINAL_S over their mean, as the benchmark scales its commands. A row
 records the median of the scaled times, the median raw time, the peak
 RSS, and the fit's outer iterations, stop reason, final objective and
-affine-alignment residual against the sampled S-curve points. A linear
-row also records `embed_s`: `embed_examples` of the training views
-through the fitted model, every latent from zero, timed and scaled the
-same way, and `embed_peak_mb`: the peak `tracemalloc` traces over one
-such embedding, a figure of its own allocations that, unlike peak RSS,
-does not move with the process's memory layout. Every row records
-`model_load_s`: the fitted model and its standardization record are
-saved once, then `modelio.load_model` of that file is timed and scaled
-the same way.
+affine-alignment residual against the sampled S-curve points, and
+`fit_peak_mb`: the peak `tracemalloc` traces over one more, untimed fit,
+a figure of the fit's own allocations that, unlike peak RSS, does not
+move with the process's memory layout. A linear row also records
+`embed_s`: `embed_examples` of the training views through the fitted
+model, every latent from zero, timed and scaled the same way, and
+`embed_peak_mb`, the same traced peak over one such embedding. Every
+row records `model_load_s`: the fitted model and its standardization
+record are saved once, then `modelio.load_model` of that file is timed
+and scaled the same way.
 """
 
 import argparse
@@ -90,9 +91,10 @@ def traced_peak_mb(call):
 
 
 def measure(kind, n, repeats):
-    """One row, in this process: timings and the fit's result, the time to
-    load the fitted model from its file and, for a linear row, the time to
-    embed the training views through the model."""
+    """One row, in this process: the fit's timings, result and traced
+    peak, the time to load the fitted model from its file and, for a
+    linear row, the time and traced peak to embed the training views
+    through the model."""
     points, ds, record = readme_s_curve(n)
     reference = hostspeed.Reference()
     if kind == "linear":
@@ -110,6 +112,7 @@ def measure(kind, n, repeats):
         "stop_reason": hist.stop_reason,
         "final_objective": float(hist.values()[-1]),
         "alignment_residual": float(intact.align_to_truth(emb.X, points).relative_residual),
+        "fit_peak_mb": traced_peak_mb(run),
     }
     if kind == "linear":
         run = functools.partial(intact.embed_examples, ds.views, model)

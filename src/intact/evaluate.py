@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import Hyperparams, IntactModel, MultiViewDataset, as_matrix, validate_dataset
 from .errors import EmptyTrainingSet, NonFiniteInput, RankDeficient, ShapeMismatch
-from .optimizer import _model_residual_sq, data_term, fit, l2_fit
+from .optimizer import _model_residual_sq, _scored_residual_sq, data_term, fit, l2_fit
 
 # Cells of the largest array k-NN holds per block: test rows x k x k in
 # the vote, tied rows x n_train when ties are resolved by brute force.
@@ -34,8 +34,7 @@ class AlignmentScore:
 def reconstruction_error(dataset, model: IntactModel, X) -> float:
     """Mean Cauchy loss over all (view, example) pairs: the data term of
     the training objective."""
-    X = as_matrix(X)
-    return data_term(_model_residual_sq(dataset, model, X)[0], model.hyperparams.c)
+    return data_term(_scored_residual_sq(dataset, model, X)[0], model.hyperparams.c)
 
 
 def align_to_truth(X_est, X_true) -> AlignmentScore:

@@ -129,7 +129,7 @@ from .core import (
     as_matrix,
     freeze_array,
 )
-from .errors import DivergenceDetected, NonFiniteInput, ShapeMismatch, SingularSystem
+from .errors import DivergenceDetected, EmptyView, NonFiniteInput, ShapeMismatch, SingularSystem
 from .estimators import rho_sq, weight_sq
 
 # A half step may exceed exact descent only through round-off; anything
@@ -385,11 +385,21 @@ def _model_residual_sq(dataset, model: IntactModel, X):
     return s, stacks[0]
 
 
+def _scored_residual_sq(dataset, model: IntactModel, X):
+    """(s, G, X): `_model_residual_sq` for a score, X read by `as_matrix`.
+    A score is a mean over the rows, so zero rows raise EmptyView."""
+    X = as_matrix(X)
+    s, G = _model_residual_sq(dataset, model, X)
+    if not X.shape[0]:
+        raise EmptyView("cannot score zero rows: the views and latents are empty")
+    return s, G, X
+
+
 def objective_full(dataset, model: IntactModel, X) -> float:
     """The objective every fit minimizes (see the module docstring), for a
     model of either mode at the latent points X of the dataset's rows."""
-    X = as_matrix(X)
-    return _objective(*_model_residual_sq(dataset, model, X), X, model.hyperparams)
+    s, G, X = _scored_residual_sq(dataset, model, X)
+    return _objective(s, G, X, model.hyperparams)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,49 @@ def test_load_matrix_csv_reads_writer_files_without_the_line_reader(tmp_path, mo
     assert got.shape == M.shape and np.array_equal(got.view(np.uint64), M.view(np.uint64))
 
 
+def test_foreign_tables_are_read_by_the_line_reader_alone(tmp_path, monkeypatch):
+    # NumPy reads only the layouts intact writes: a foreign CSV costs the one
+    # writer-layout attempt, an XYZ cloud and a model file with a blank line
+    # inside a block cost none
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(modelio.np, "loadtxt", counted)
+    rng = np.random.default_rng(3)
+    cells = [["%.17g" % v for v in row] for row in rng.standard_normal((40, 3))]
+    cells[5][1] = cells[30][2] = "1_000"
+    csv = ["# a header", *("  ".join(row) for row in cells[:20]), "", "# a note",
+           *("\t".join(row) for row in cells[20:])]
+    path = tmp_path / "foreign.csv"
+    path.write_bytes("\r\n".join(csv).encode() + b"\r\n")
+    got = modelio.load_matrix_csv(path)
+    assert len(calls) == 1
+    assert np.array_equal(got.view(np.uint64), load_matrix_csv_lines(path).view(np.uint64))
+
+    cloud = ["# x y z", *(" ".join(row) for row in cells), ""]
+    path = tmp_path / "cloud.xyz"
+    path.write_text("\n".join(cloud))
+    got = modelio.load_xyz_point_cloud(path)
+    assert len(calls) == 1
+    assert np.array_equal(got.view(np.uint64), load_matrix_csv_lines(path).view(np.uint64))
+
+    lines = _two_view_linear_lines(tmp_path)
+    w0 = _block_row(lines, "W 0 ", 0)
+    w1 = _block_row(lines, "W 1 ", 0)
+    want = [np.array([[float(t) for t in line.split()] for line in lines[row:row + rows]])
+            for row, rows in ((w0, 3), (w1, 4))]
+    lines.insert(w0 + 1, "")
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    model, _ = modelio.load_model(path)
+    assert len(calls) == 1
+    assert _same_bits(list(model.W), want)
+
+
 def test_load_matrix_csv_reads_a_compressed_suffix_as_text(tmp_path):
     # NumPy would open a path ending in .gz as a gzip stream
     path = tmp_path / "m.csv.gz"

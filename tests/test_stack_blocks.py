@@ -24,7 +24,7 @@ from intact import (
     validate_dataset,
 )
 from intact import optimizer
-from intact.errors import NonFiniteInput, ShapeMismatch
+from intact.errors import EmptyView, NonFiniteInput, ShapeMismatch
 from intact.optimizer import (
     _BLOCK_ROWS,
     _example_stacks,
@@ -108,6 +108,15 @@ def test_blocked_embed_and_scores_equal_one_row_reference(model, block_calls, n,
     if n:
         assert reconstruction_error(rows, model, X) == data_term(s_ref, hp.c)
         assert objective_full(rows, model, X) == _objective(s_ref, G_ref, X, hp)
+
+
+def test_scores_of_zero_rows_raise_empty_view(model):
+    rows = [Z[:0] for Z in heldout(4, model.hyperparams.d)]
+    X = np.zeros((0, model.hyperparams.d))
+    assert _model_residual_sq(rows, model, X)[0].shape == (len(DIMS), 0)
+    for score in (reconstruction_error, objective_full):
+        with pytest.raises(EmptyView, match="zero rows"):
+            score(rows, model, X)
 
 
 def test_mismatched_view_rows_raise_before_any_block(model, block_calls):
