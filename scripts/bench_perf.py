@@ -21,13 +21,19 @@ a figure of the fit's own allocations that, unlike peak RSS, does not
 move with the process's memory layout. A linear row also records
 `embed_s`: `embed_examples` of the training views through the fitted
 model, every latent from zero, timed and scaled the same way, and
-`embed_peak_mb`, the same traced peak over one such embedding. Every
-row records `model_load_s`: the fitted model and its standardization
-record are saved once, then `modelio.load_model` of that file is timed
-and scaled the same way.
+`embed_peak_mb`, the same traced peak over one such embedding. An rbf
+row also records the fit's phase split, the median raw seconds per fit
+of `kernel._features` (`features_s`), `kernel._feature_start`
+(`start_s`) and the alternation `_fit_stack` (`alternation_s`), timed
+in-process during the timed fits; raw seconds are comparable within
+one run, where the host reference does not track an eigh-heavy fit.
+Every row records `model_load_s`: the fitted model and its
+standardization record are saved once, then `modelio.load_model` of
+that file is timed and scaled the same way.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -39,6 +45,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -47,12 +54,14 @@ import numpy as np  # noqa: E402
 
 import hostspeed  # noqa: E402
 import intact  # noqa: E402
-from intact import modelio  # noqa: E402
+from intact import kernel, modelio  # noqa: E402
 
 ROWS = [("linear", 500), ("linear", 5000), ("linear", 20000), ("rbf", 300), ("rbf", 1000)]
 SEED = 0
 HP = intact.Hyperparams(d=3, C1=1e-4, C2=1e-4, seed=SEED)
 CHILD_TIMEOUT_S = 600
+# function of `intact.kernel` -> the row field of its median seconds per fit
+PHASES = {"_features": "features_s", "_feature_start": "start_s", "_fit_stack": "alternation_s"}
 
 
 def readme_s_curve(n):
@@ -80,6 +89,29 @@ def timed(call, repeats, reference):
     return statistics.median(scaled), statistics.median(raw), result
 
 
+def timed_phases(call, repeats, reference):
+    """`timed`, and the median raw seconds per run of each kernel-fit
+    phase (PHASES), each function of `intact.kernel` wrapped by a timer
+    while the runs last."""
+    spent = {name: [] for name in PHASES}
+
+    def timer(name, fn):
+        def wrapped(*args, **kwargs):
+            t = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name].append(time.perf_counter() - t)
+        return wrapped
+
+    with contextlib.ExitStack() as stack:
+        for name in PHASES:
+            wrapped = timer(name, getattr(kernel, name))
+            stack.enter_context(mock.patch.object(kernel, name, wrapped))
+        result = timed(call, repeats, reference)
+    return result, {PHASES[name]: statistics.median(t) for name, t in spent.items()}
+
+
 def traced_peak_mb(call):
     """Peak bytes `tracemalloc` traces over one run of `call`, in MB."""
     tracemalloc.start()
@@ -97,11 +129,13 @@ def measure(kind, n, repeats):
     through the model."""
     points, ds, record = readme_s_curve(n)
     reference = hostspeed.Reference()
+    phases = {}
     if kind == "linear":
         run = functools.partial(intact.fit, ds, HP)
+        wall_s, raw_wall_s, (model, emb, hist) = timed(run, repeats, reference)
     else:
         run = functools.partial(intact.kernel_fit, ds, HP, intact.KernelSpec(kind))
-    wall_s, raw_wall_s, (model, emb, hist) = timed(run, repeats, reference)
+        (wall_s, raw_wall_s, (model, emb, hist)), phases = timed_phases(run, repeats, reference)
     row = {
         "kind": kind,
         "n": n,
@@ -113,6 +147,7 @@ def measure(kind, n, repeats):
         "final_objective": float(hist.values()[-1]),
         "alignment_residual": float(intact.align_to_truth(emb.X, points).relative_residual),
         "fit_peak_mb": traced_peak_mb(run),
+        **phases,
     }
     if kind == "linear":
         run = functools.partial(intact.embed_examples, ds.views, model)

@@ -24,6 +24,11 @@ def freeze_array(a) -> np.ndarray:
     return out
 
 
+def is_integer(value) -> bool:
+    """True for an integer value; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def as_matrix(X) -> np.ndarray:
     """Accept either a raw array or an IntactEmbedding and return the array."""
     if isinstance(X, IntactEmbedding):
@@ -72,7 +77,7 @@ class Hyperparams:
         for name, kind in HYPERPARAM_KINDS:
             value = getattr(self, name)
             if kind is int:
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                if not is_integer(value):
                     raise ValueError(f"{name} must be an integer, got {value!r}")
             elif isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")

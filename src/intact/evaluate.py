@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hyperparams, IntactModel, MultiViewDataset, as_matrix, validate_dataset
+from .core import (Hyperparams, IntactModel, MultiViewDataset, as_matrix, is_integer,
+                   validate_dataset)
 from .errors import EmptyTrainingSet, NonFiniteInput, RankDeficient, ShapeMismatch
 from .optimizer import _model_residual_sq, _scored_residual_sq, data_term, fit, l2_fit
 
@@ -87,14 +88,18 @@ def knn_classify(train_X, train_labels, test_X, k: int = 3, test_labels=None):
     labels = np.asarray(train_labels)
     if train_X.shape[0] == 0:
         raise EmptyTrainingSet("no training rows")
-    if labels.shape[0] != train_X.shape[0]:
-        raise ShapeMismatch("label count does not match training rows")
+    if labels.ndim != 1 or labels.shape[0] != train_X.shape[0]:
+        raise ShapeMismatch(f"labels of shape {labels.shape} for {train_X.shape[0]} training rows")
     if test_labels is not None:
         test_labels = np.atleast_1d(np.asarray(test_labels))
+        if test_labels.ndim != 1:
+            raise ShapeMismatch(f"test labels must be 1-D, got shape {test_labels.shape}")
         if len(test_labels) != test_X.shape[0]:
             raise ShapeMismatch(
                 f"{len(test_labels)} test labels for {test_X.shape[0]} test rows"
             )
+    if not is_integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= train_X.shape[0]:
         raise ValueError(f"k must be in [1, {train_X.shape[0]}], got {k}")
     if train_X.shape[1] != test_X.shape[1]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IntactModel
-from .errors import ZeroRegularizer
+from .errors import NonFiniteInput, ZeroRegularizer
 from .estimators import rho_sq
 from .optimizer import (
     _as_latent,
@@ -96,8 +96,10 @@ def stability_bound(tau: float, model: IntactModel) -> float:
         sqrt(2)/c * |tau| + sum_v 128^(1/4) * Omega_v / c
                               * sqrt(|tau| / (m c C2))
 
-    with Omega_v the spectral norm of view v's map. Requires C2 > 0.
+    with Omega_v the spectral norm of view v's map. Requires C2 > 0 and a finite tau.
     """
+    if not np.isfinite(tau):
+        raise NonFiniteInput(f"tau must be finite, got {tau}")
     hp = model.hyperparams
     if hp.C2 <= 0:
         raise ZeroRegularizer("stability bound undefined when C2 = 0")
@@ -114,7 +116,10 @@ def local_convexity_check(
     z_views, model: IntactModel, center, radius: float, seed: int = 0
 ) -> bool:
     """Sampled midpoint-convexity audit of the per-example objective in a
-    ball around `center`; the stability bound's derivation assumes it."""
+    ball of finite radius around `center`; the stability bound's
+    derivation assumes it."""
+    if not np.isfinite(radius):
+        raise NonFiniteInput(f"radius must be finite, got {radius}")
     stacks = _example_stacks(z_views, model)
     center = _as_latent(center, stacks[0])[0]
     rng = np.random.default_rng(seed)

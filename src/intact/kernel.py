@@ -9,43 +9,41 @@ map norms reduce to Gram-matrix algebra:
     ||map_v||^2 = trace(A_v^T K_v A_v)
 
 Training is the linear fit path (`optimizer._fit_stack`) on exact
-features Phi_v = U_r Lambda_r^{1/2} from one eigendecomposition of each
-Gram (eigenvalues above FEATURE_RCOND of the largest; the r = n Nystrom
-map), so K_v = Phi_v Phi_v^T and maps W_v = Phi_v^T A_v. This module
-only builds the features (`_features`: one zero-padded (m x n x max r_v)
-stack), their row norms diag(K_v) and the start; the fit path runs the
-alternation on them. Both sweeps take diag(K_v) as the row norms, so
-the residuals they read from the stacks are exact in feature space.
-Each Gram is dropped once its view is decomposed (an rbf start keeps
-only their running sum, and only until the start is formed), so a fit
-holds no n x n matrix through the alternation. The model stores
-A_v = U_r Lambda_r^{-1/2} W_v, read back from the features as
-Phi_v (Lambda_r^{-1} W_v); with a linear kernel the iterates coincide
-with the linear model's up to round-off. A model holds
-what its file holds (atoms, training views, kernel kind, gammas); its
-Grams are derived, and its stack G_v = A_v^T K_v A_v is built once, on
-first use (`KernelModel.G`), from Grams dropped view by view.
+features Phi_v = U_r Lambda_r^{1/2}, the r = n Nystrom map, from one
+`eigh` of each Gram (`_features`: the eigenpairs above FEATURE_RCOND of
+the largest, in one zero-padded m x n x max r_v stack), so
+K_v = Phi_v Phi_v^T and W_v = Phi_v^T A_v. Both sweeps take diag(K_v) as
+the row norms, so the residuals they read from the stacks are exact in
+feature space. A fit applies no PSD rule: the filter drops every
+eigenpair at or below it, negative ones included. Each Gram is dropped
+once its view is decomposed, so a fit holds no n x n matrix through the
+alternation. The model stores A_v = U_r Lambda_r^{-1/2} W_v, read back
+as Phi_v (Lambda_r^{-1} W_v); with a linear kernel the iterates coincide
+with the linear model's up to round-off. A model holds what its file
+holds (atoms, training views, kernel kind, gammas); its Grams are
+derived, and its stack G_v = A_v^T K_v A_v is built once, on first use
+(`KernelModel.G`), from Grams dropped view by view.
 
-An rbf fit starts in feature space: the latents are U_d Lambda_d^{1/2}
-from the top-d eigenpairs of sum_v K_v (`_feature_start`), the kernel-PCA
-subspace of the concatenated features and the unshrunk principal subspace
-of the L2 problem there, with maps fitted by ridge against them. Starting
-from `default_init`'s principal directions of the inputs instead costs
-the fit outer iterations spent moving from the linear subspace into the
-kernel one (README S-curve, n = 1000: 61 against 10). A linear-kernel fit
-keeps `default_init` on the inputs, so that it takes the linear fit's
-steps.
+An rbf fit starts from the features: U_d Lambda_d^{1/2} from the top-d
+eigenpairs of sum_v Phi_v Phi_v^T (`_feature_start`), the kernel-PCA
+subspace of the concatenated features and the unshrunk principal
+subspace of the L2 problem there; the maps start as ridge fits against
+it. Starting from `default_init`'s principal directions of the inputs
+instead costs outer iterations spent moving from the linear subspace
+into the kernel one (README S-curve, n = 1000: 61 against 10). A
+linear-kernel fit keeps `default_init` on the inputs, so that it takes
+the linear fit's steps.
 
-Every Gram is PSD-checked (`ensure_psd`) against thresholds scaled by
-s = max(1, largest diagonal entry of K), since eigenvalue round-off grows
-with the Gram's scale (a linear Gram of raw inputs can have entries of
-1e10 and more): eigenvalues below PSD_REJECT s raise, and those between
-it and PSD_JITTER_TRIGGER s get a tiny diagonal shift. An rbf Gram has a
-unit diagonal, so s = 1 there. Only `gram` checks a model's Grams, at the
-first `KernelModel.gram` or `.G` access; it first tries a Cholesky
-factorization of K + |PSD_JITTER_TRIGGER| s I, which succeeds only when
-no eigenvalue lies below the trigger and costs a fraction of `eigvalsh`;
-only a failed factorization computes the eigenvalues.
+The Grams a model rebuilds from its file (`gram`, at the first
+`KernelModel.gram` or `.G` access) are PSD-checked (`ensure_psd`)
+against thresholds scaled by s = max(1, largest diagonal entry), since
+eigenvalue round-off grows with the Gram's scale (a linear Gram of raw
+inputs can have entries of 1e10 and more): eigenvalues below
+PSD_REJECT s raise, and those between it and PSD_JITTER_TRIGGER s get a
+tiny diagonal shift (s = 1 for an rbf Gram's unit diagonal). A Cholesky
+factorization of K + |PSD_JITTER_TRIGGER| s I, a fraction of the cost
+of `eigvalsh`, succeeds only when no eigenvalue lies below the trigger;
+only a failed one computes the eigenvalues.
 
 An rbf block k(a_i, b_j) = exp(-gamma ||a_i - b_j||^2) is evaluated in
 the one n_a x n_b buffer that the product Za Zb^T allocates
@@ -132,45 +130,29 @@ def median_heuristic_gamma(Z) -> float:
     return 1.0 / med
 
 
-def _psd_spectrum(K: np.ndarray, vectors: bool):
-    """Symmetrized, PSD-checked K with its ascending eigenvalues and, if
-    `vectors`, eigenvectors (else None); see `ensure_psd`.
+def ensure_psd(K: np.ndarray) -> np.ndarray:
+    """Symmetrize and check positive semidefiniteness (module docstring).
 
-    Without `vectors`, a Cholesky factorization of K + |trigger| I with a
-    finite diagonal certifies that no eigenvalue lies below the trigger,
-    where the eigenvalue rule returns K unchanged: K is returned with no
-    eigenvalues (None). Only a failed factorization runs eigvalsh."""
+    Round-off negativity up to the jitter trigger is absorbed by a tiny
+    diagonal shift; anything below the reject threshold raises. A finite
+    Cholesky factor of K + |trigger| s I certifies that K needs neither,
+    so only a failed factorization runs eigvalsh."""
     K = 0.5 * (K + K.T)
     # a NaN diagonal leaves the scale at 1: max keeps its first argument
     scale = max(1.0, float(np.max(K.diagonal())))
-    if not vectors:
-        shifted = K.copy()
-        shifted.flat[:: K.shape[0] + 1] += abs(PSD_JITTER_TRIGGER) * scale
-        try:
-            if np.isfinite(np.linalg.cholesky(shifted).diagonal().sum()):
-                return K, None, None
-        except np.linalg.LinAlgError:
-            pass
-    lam, U = np.linalg.eigh(K) if vectors else (np.linalg.eigvalsh(K), None)
-    lam_min = float(lam[0])
+    shifted = K.copy()
+    shifted.flat[:: K.shape[0] + 1] += abs(PSD_JITTER_TRIGGER) * scale
+    try:
+        if np.isfinite(np.linalg.cholesky(shifted).diagonal().sum()):
+            return K
+    except np.linalg.LinAlgError:
+        pass
+    lam_min = float(np.linalg.eigvalsh(K)[0])
     if lam_min < PSD_REJECT * scale:
         raise GramNotPSD(f"smallest Gram eigenvalue {lam_min:.3e}")
     if lam_min < PSD_JITTER_TRIGGER * scale:
-        shift = 1e-10 * float(np.mean(np.diag(K)))
-        K = K + shift * np.eye(K.shape[0])
-        lam = lam + shift
-    return K, lam, U
-
-
-def ensure_psd(K: np.ndarray) -> np.ndarray:
-    """Symmetrize and check positive semidefiniteness.
-
-    Round-off negativity up to the jitter trigger is absorbed by a tiny
-    diagonal shift; anything below the reject threshold raises. A Gram
-    that passes the Cholesky certificate of `_psd_spectrum` needs no
-    eigenvalues.
-    """
-    return _psd_spectrum(K, vectors=False)[0]
+        K = K + 1e-10 * float(np.mean(np.diag(K))) * np.eye(K.shape[0])
+    return K
 
 
 def cross_gram(Za, Zb, kind: str, gamma: Optional[float]) -> np.ndarray:
@@ -269,42 +251,43 @@ def kernel_alternation_objective(km_A, grams, X, hp: Hyperparams) -> float:
 
 def _features(views, kernel: KernelSpec):
     """Per-view gammas, the exact features Phi_v = U_r Lambda_r^{1/2} of
-    each PSD-checked Gram written into one zero-padded (m x n x max r_v)
-    stack, their squared row norms diag(K_v) (m x n), the retained
-    eigenvalues Lambda_r (r_v of them per view, so they give its width)
-    and, for an rbf start, sum_v K_v (None for a linear kernel). No Gram
-    outlives its own view's eigendecomposition."""
+    each symmetrized Gram written into one zero-padded (m x n x max r_v)
+    stack, their squared row norms diag(K_v) (m x n) and the retained
+    eigenvalues Lambda_r (r_v of them per view, so they give its width).
+    Each Gram is dropped once its view is decomposed."""
     gammas, features, lams = [], [], []
     znorm = np.empty((len(views), len(views[0])))
-    K_sum = None
     for v, Z in enumerate(views):
         g = None if kernel.kind == "linear" else kernel.gamma or median_heuristic_gamma(Z)
-        K, lam, U = _psd_spectrum(cross_gram(Z, Z, kernel.kind, g), vectors=True)
-        keep = lam > FEATURE_RCOND * lam[-1]
+        K = cross_gram(Z, Z, kernel.kind, g)
+        K = 0.5 * (K + K.T)
         gammas.append(g)
         znorm[v] = K.diagonal()
-        if kernel.kind == "rbf":
-            K_sum = K if K_sum is None else np.add(K_sum, K, out=K_sum)
+        lam, U = np.linalg.eigh(K)
         del K
+        keep = lam > FEATURE_RCOND * lam[-1]
         features.append(U[:, keep])
         lams.append(lam[keep])
         del U
     Phi = np.zeros((len(views), len(views[0]), max(len(lam) for lam in lams)))
     for F, B, lam in zip(Phi, features, lams):
         np.multiply(B, np.sqrt(lam), out=F[:, : len(lam)])
-    return gammas, Phi, znorm, lams, K_sum
+    return gammas, Phi, znorm, lams
 
 
-def _feature_start(K_sum, hp: Hyperparams) -> np.ndarray:
+def _feature_start(Phi, hp: Hyperparams) -> np.ndarray:
     """Starting latents U_d Lambda_d^{1/2} from the top-d eigenpairs of
-    K_sum = sum_v K_v: the kernel-PCA subspace of the concatenated
-    features, through `_principal_latents` with each column's sign fixed
-    on U.
+    sum_v Phi_v Phi_v^T, summed view by view into one n x n buffer: the
+    kernel-PCA subspace of the concatenated features, through
+    `_principal_latents` with each column's sign fixed on U.
 
     A full `numpy.linalg.eigh`, not scipy's subset solver: at the sizes a
     kernel fit handles (n <= 1000) the subset call saves less time than
     importing `scipy.linalg` into a fresh process costs."""
-    lam, U = np.linalg.eigh(K_sum)
+    S = Phi[0] @ Phi[0].T
+    for F in Phi[1:]:
+        S += F @ F.T
+    lam, U = np.linalg.eigh(S)
     lam, U = lam[::-1][: hp.d], U[:, ::-1][:, : hp.d]
     return _principal_latents(U, np.sqrt(np.maximum(lam, 0.0)), U.T, hp)
 
@@ -313,20 +296,19 @@ def kernel_fit(dataset: MultiViewDataset, hp: Hyperparams, kernel: KernelSpec):
     """Fit the kernel model: `optimizer._fit_stack` on the exact kernel
     features of `_features` and diag K_v (module docstring). An rbf fit
     starts from the latents of `_feature_start`, the principal subspace
-    of sum_v K_v; a linear-kernel fit from those of `default_init` on the
-    inputs, as `optimizer.fit` does, so the two take the same steps. The
+    of the features; a linear-kernel fit from those of `default_init` on
+    the inputs, as `optimizer.fit` does, so the two take the same steps. The
     maps start as ridge fits against the latents. No n x n matrix is held
     through the alternation: the atoms A_v = U_r Lambda_r^{-1/2} W_v are
     read back from the features as Phi_v (Lambda_r^{-1} W_v). Returns
     (IntactModel in kernel mode, IntactEmbedding, FitHistory).
     """
     views = dataset.views
-    gammas, Phi, znorm, lams, K_sum = _features(views, kernel)
+    gammas, Phi, znorm, lams = _features(views, kernel)
     if kernel.kind == "linear":
         X = default_init(views, hp)[0]
     else:
-        X = _feature_start(K_sum, hp)
-    del K_sum
+        X = _feature_start(Phi, hp)
     features = [F[:, : len(lam)] for F, lam in zip(Phi, lams)]
     W = _ridge_maps(X, features, hp.C1)
     W, X, history = _fit_stack(Phi, znorm, X, W, hp)

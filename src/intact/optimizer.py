@@ -512,9 +512,8 @@ def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner):
     independent, bit for bit, at d <= 3: the latent step is elementwise
     across rows, but at larger d the product X @ G in
     `residual_sq_from_stacks` is a BLAS GEMM whose rounding of a row can
-    depend on the batch around it. Returns the new latents, each row's
-    inner iteration count, and the squared residuals (m x n) at the new
-    latents.
+    depend on the batch around it. Returns the new latents and each
+    row's inner iteration count.
     """
     X = np.array(X0, dtype=np.float64)
     n, d = X.shape
@@ -537,8 +536,7 @@ def sweep_latents(G, P, znorm, X0, c, C2, tol_x, max_inner):
             idx, X_new = idx[moved], X_new[moved]
             Pa, za = np.compress(moved, Pa, axis=1), np.compress(moved, za, axis=1)
         Xa = np.ascontiguousarray(X_new)
-    s_final = residual_sq_from_stacks(G, P, znorm, X)
-    return X, iters, s_final
+    return X, iters
 
 
 def _map_products(Z, W):
@@ -707,7 +705,8 @@ def alternate(maps, X, stacks, map_sweep, hp: Hyperparams):
         trace.append((kind, J))
 
     def latent_block(X, steps):
-        X, x_iters, s = sweep_latents(G, P, znorm, X, hp.c, hp.C2, hp.tol_x, steps)
+        X, x_iters = sweep_latents(G, P, znorm, X, hp.c, hp.C2, hp.tol_x, steps)
+        s = residual_sq_from_stacks(G, P, znorm, X)
         return X, int(np.max(x_iters)), _objective(s, G, X, hp)
 
     for it in range(hp.max_outer):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import is_integer
 from .errors import DegenerateSignal
 
 TWO_HALF_PI = 3.0 * np.pi / 2.0
@@ -35,6 +36,8 @@ class NoiseSpec:
             raise ValueError(f"snr_db must be a number or inf, got {self.snr_db}")
         if not 0.0 < self.window_fraction <= 1.0:
             raise ValueError("window_fraction must lie in (0, 1]")
+        if not is_integer(self.copies_per_base):
+            raise ValueError(f"copies_per_base must be an integer, got {self.copies_per_base!r}")
         if self.copies_per_base < 1:
             raise ValueError("copies_per_base must be >= 1")
 

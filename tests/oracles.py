@@ -274,7 +274,8 @@ def alternate_plain(maps, X, stacks, map_sweep, hp):
         trace.append((kind, J))
 
     def latent_sweep(X, max_inner):
-        X, x_iters, s = sweep_latents(G, P, znorm, X, hp.c, hp.C2, hp.tol_x, max_inner)
+        X, x_iters = sweep_latents(G, P, znorm, X, hp.c, hp.C2, hp.tol_x, max_inner)
+        s = residual_sq_from_stacks(G, P, znorm, X)
         return X, int(np.max(x_iters)), _objective(s, G, X, hp)
 
     steps = 1

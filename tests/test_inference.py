@@ -17,7 +17,7 @@ from intact import (
     view_losses,
 )
 from intact.core import IntactModel, freeze_array
-from intact.errors import ShapeMismatch, ZeroRegularizer
+from intact.errors import NonFiniteInput, ShapeMismatch, ZeroRegularizer
 
 
 def make_model(W_list, hp):
@@ -118,6 +118,14 @@ def test_bound_requires_regularizer():
         stability_bound(1.0, model)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_bound_rejects_a_non_finite_tau(tau):
+    # a NaN tau used to give a NaN bound
+    model = make_model([np.array([[1.0]])], Hyperparams(d=1, C1=0.0, C2=0.1))
+    with pytest.raises(NonFiniteInput):
+        stability_bound(tau, model)
+
+
 def test_spectral_norms():
     hp = Hyperparams(d=2, C1=0.0, C2=0.1)
     W = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -190,6 +198,15 @@ def test_view_losses_and_convexity_helper():
     assert losses.shape == (ds.m,)
     assert np.all(losses >= 0)
     assert local_convexity_check(z, model, emb.X[0], radius=1e-3)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_convexity_check_rejects_a_non_finite_radius(radius):
+    # such a radius used to sample NaN or overflowing points and read "convex"
+    ds, _, model, emb = trained_model(seed=11)
+    z = [Z[0] for Z in ds.views]
+    with pytest.raises(NonFiniteInput):
+        local_convexity_check(z, model, emb.X[0], radius=radius)
 
 
 def test_probe_linear_kernel_model_matches_linear_model():

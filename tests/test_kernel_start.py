@@ -1,11 +1,15 @@
 """The starting latents of an rbf kernel fit: U_d Lambda_d^{1/2} from the
 top-d eigenpairs of sum_v K_v (`kernel._feature_start`), against the full
-eigendecomposition of `feature_start` in tests/oracles.py."""
+eigendecomposition of `feature_start` in tests/oracles.py, and the
+features it reads them from (`kernel._features`)."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from intact import Hyperparams, KernelSpec, kernel_fit, optimizer, validate_dataset
+from intact.kernel import _feature_start, _features
 from oracles import feature_start
 from test_acceleration import outer_iterations
 from test_kernel_reference import README_HP, readme_s_curve
@@ -57,3 +61,23 @@ def test_rbf_fit_on_two_rows_fills_the_missing_rank():
     fill = np.random.default_rng(7).normal(size=(2, 1)) / np.sqrt(3)
     assert np.array_equal(X0[:, 2:], fill)
     assert np.max(np.abs(X0[:, :2] - feature_start(model.kernel_part.gram, 2))) < 1e-12
+
+
+def test_features_hold_no_gram_after_they_return():
+    # four values, and no n x n matrix beside the feature stack
+    ds = readme_s_curve(300, 0)
+    tracemalloc.start()
+    try:
+        gammas, Phi, znorm, lams = _features(ds.views, KernelSpec("rbf"))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(gammas) == len(lams) == ds.m and znorm.shape == (ds.m, ds.n)
+    assert held <= Phi.nbytes + 0.5 * ds.n * ds.n * 8
+
+
+@pytest.mark.parametrize("seed", [1000, 1003])
+def test_feature_start_is_the_top_eigenpairs_of_the_feature_products(seed):
+    Phi = _features(readme_s_curve(100, seed).views, KernelSpec("rbf"))[1]
+    expected = feature_start([F @ F.T for F in Phi], README_HP.d)
+    assert np.max(np.abs(_feature_start(Phi, README_HP) - expected)) < 1e-12

@@ -95,3 +95,30 @@ def test_knn_rejects_a_test_label_count_unlike_the_test_rows(n_labels):
     test = np.linspace(0.0, 1.0, 5)[:, None]
     with pytest.raises(ShapeMismatch, match=f"{n_labels} test labels for 5 test rows"):
         knn_classify(train, ["a", "b"], test, k=1, test_labels=["b"] * n_labels)
+
+
+@pytest.mark.parametrize("labels", [[[0], [1]], [[0, 1], [1, 0]]], ids=["column", "square"])
+def test_knn_rejects_labels_that_are_not_one_dimensional(labels):
+    # a column of labels used to fail inside NumPy's broadcast
+    train = np.array([[0.0], [1.0]])
+    with pytest.raises(ShapeMismatch):
+        knn_classify(train, labels, np.array([[0.2]]), k=1)
+
+
+def test_knn_rejects_test_labels_that_are_not_one_dimensional():
+    # a column of test labels used to broadcast into an n x n comparison
+    train, test = np.array([[0.0], [1.0]]), np.array([[0.1], [0.9]])
+    with pytest.raises(ShapeMismatch, match="1-D"):
+        knn_classify(train, [0, 1], test, k=1, test_labels=[[0], [1]])
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_knn_rejects_a_k_that_is_not_an_integer(k):
+    train = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match="k must be an integer"):
+        knn_classify(train, [0, 1, 1], np.array([[0.2]]), k=k)
+
+
+def test_knn_takes_a_numpy_integer_k():
+    train = np.array([[0.0], [1.0], [2.0]])
+    assert knn_classify(train, [0, 1, 1], np.array([[1.9]]), k=np.int64(2))[0].tolist() == [1]

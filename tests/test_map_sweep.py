@@ -43,7 +43,7 @@ def linear_case(views):
 def rbf_case(views):
     """Padded rbf features, diag K as row norms, the unpadded features and
     the per-row offsets diag K - ||phi_i||^2 their explicit residuals miss."""
-    _, Phi, znorm, lams, _ = _features(views, KernelSpec("rbf"))
+    _, Phi, znorm, lams = _features(views, KernelSpec("rbf"))
     feats = [F[:, : len(lam)] for F, lam in zip(Phi, lams)]
     offsets = [k - np.einsum("ij,ij->i", F, F) for k, F in zip(znorm, feats)]
     return Phi, znorm, feats, offsets

@@ -25,6 +25,7 @@ from intact.optimizer import (
     _example_stacks,
     _solve_rows,
     fit_view_map,
+    residual_sq_from_stacks,
     sweep_latents,
 )
 from oracles import (
@@ -61,7 +62,7 @@ def sweep_one_row(zs, model, x0, hp, max_inner=None):
     G, P, znorm = _example_stacks(zs, model)
     X0 = np.reshape(np.asarray(x0, dtype=float), (1, -1))
     steps = hp.max_inner if max_inner is None else max_inner
-    X, iters, _ = sweep_latents(G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, steps)
+    X, iters = sweep_latents(G, P, znorm, X0, hp.c, hp.C2, hp.tol_x, steps)
     return X[0], iters
 
 
@@ -514,10 +515,12 @@ def test_sweep_latents_rows_independent(mode, d):
     G, P, znorm = _example_stacks(ds.views, model)
     X0 = np.random.default_rng(13).normal(size=(ds.n, hp.d))
     args = (hp.c, hp.C2, hp.tol_x, hp.max_inner)
-    X, iters, s = sweep_latents(G, P, znorm, X0, *args)
+    X, iters = sweep_latents(G, P, znorm, X0, *args)
+    s = residual_sq_from_stacks(G, P, znorm, X)
     assert len(set(iters.tolist())) > 1
     for a, b in [(17, 18), (5, 23), (ds.n - 9, ds.n)]:
-        Xs, iters_s, s_s = sweep_latents(G, P[:, a:b], znorm[:, a:b], X0[a:b], *args)
+        Xs, iters_s = sweep_latents(G, P[:, a:b], znorm[:, a:b], X0[a:b], *args)
+        s_s = residual_sq_from_stacks(G, P[:, a:b], znorm[:, a:b], Xs)
         assert np.array_equal(Xs, X[a:b])
         assert np.array_equal(iters_s, iters[a:b])
         assert np.array_equal(s_s, s[:, a:b])

@@ -72,6 +72,7 @@ REMOVED = [
     ("kernel", "kernel_embed"),
     ("kernel", "kernel_residual_sq"),
     ("kernel", "kernel_w_norm_sq"),
+    ("kernel", "_psd_spectrum"),
     ("estimators", "cauchy_rho"),
     ("estimators", "cauchy_psi"),
     ("estimators", "residual_weight"),

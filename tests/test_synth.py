@@ -118,6 +118,17 @@ def test_noise_spec_invariants():
         NoiseSpec(snr_db=10.0, copies_per_base=0)
 
 
+@pytest.mark.parametrize("copies", [2.5, 2.0, True])
+def test_noise_spec_rejects_a_copy_count_that_is_not_an_integer(copies):
+    # 2.5 used to pass here and fail in make_noisy_views; True meant one copy
+    with pytest.raises(ValueError, match="copies_per_base must be an integer"):
+        NoiseSpec(snr_db=10.0, copies_per_base=copies)
+
+
+def test_noise_spec_takes_a_numpy_integer_copy_count():
+    assert NoiseSpec(snr_db=10.0, copies_per_base=np.int64(2)).copies_per_base == 2
+
+
 def test_make_noisy_views_counts():
     base = project_to_planes(gen_s_curve(50, seed=8))
     for copies, total in ((3, 9), (9, 27)):
